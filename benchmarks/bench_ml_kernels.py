@@ -1,10 +1,11 @@
 """Benchmark the flat-array ensemble kernels and the batched committee ALE.
 
-Three measurements, from micro to macro:
+Two micro measurements:
 
 - ``predict_proba`` — forests and boosting through the
   :class:`repro.ml.kernels.TreeBank` kernel vs their legacy per-member
-  loops (:func:`repro.ml.per_member_fallback`).  The kernel win is
+  loops (``_predict_proba_per_member`` / ``_decision_function_per_member``,
+  which the ensembles keep as the kernel's test oracle).  The kernel win is
   largest where per-tree Python overhead dominates — the small batches
   the serving engine and the per-feature ALE slices actually issue — so
   the asserted >= 3x bound is measured on a 200-row batch; bulk-scoring
@@ -12,14 +13,13 @@ Three measurements, from micro to macro:
 - ``committee ALE`` — every committee member's (lo, hi) perturbed copies
   for *all* features stacked into few ``predict_proba`` calls
   (:func:`repro.core.ale.ale_curves_for_features`) vs the historical
-  two-model-calls-per-feature shape with kernels disabled.
-- ``grid cell`` — a representative experiment-grid unit of work (AutoML
-  fit + Within-ALE feedback + scoring) with kernels on vs off, the
-  end-to-end number a Table-1 reproduction actually feels.
+  two-model-calls-per-feature shape through the per-member loops.
 
 Bitwise identity between the fast and legacy paths is asserted on every
 measurement — the speedups are only meaningful if the bits agree.
-Results land in ``BENCH_ml_kernels.json``.
+Results land in ``BENCH_ml_kernels.json``.  The end-to-end share of
+prediction in a cold grid is ``perfbench``'s traced
+``ml.predict_proba.busy_s``, so this script no longer times a grid cell.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_ml_kernels.py``
 """
@@ -33,17 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.automl import AutoMLClassifier
-from repro.core import AleFeedback, make_grid, within_ale_committee
+from repro.core import make_grid
 from repro.core.ale import ale_curve, ale_curves_for_features
-from repro.datasets import generate_scream_dataset
-from repro.ml import (
-    ExtraTreesClassifier,
-    GradientBoostingClassifier,
-    RandomForestClassifier,
-    balanced_accuracy,
-    per_member_fallback,
-)
+from repro.ml import ExtraTreesClassifier, GradientBoostingClassifier, RandomForestClassifier, softmax
 from repro.rng import check_random_state
 from repro.runtime.clock import Stopwatch
 
@@ -60,6 +52,23 @@ def best_of(fn, repeats: int) -> float:
     return best
 
 
+def per_member_proba(model, X) -> np.ndarray:
+    """``predict_proba`` through the legacy per-member loop (the baseline)."""
+    if isinstance(model, GradientBoostingClassifier):
+        return softmax(model._decision_function_per_member(X))
+    return model._predict_proba_per_member(X)
+
+
+class PerMember:
+    """A model view whose ``predict_proba`` runs the per-member loop."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict_proba(self, X) -> np.ndarray:
+        return per_member_proba(self.model, X)
+
+
 def bench_predict(models: dict, eval_sets: dict, repeats: int) -> dict:
     """Kernel vs per-member ``predict_proba`` timings, bitwise-checked."""
     section: dict[str, dict] = {}
@@ -67,14 +76,12 @@ def bench_predict(models: dict, eval_sets: dict, repeats: int) -> dict:
         section[model_name] = {}
         for rows_name, X_eval in eval_sets.items():
             fast_proba = model.predict_proba(X_eval)  # warm (builds the bank)
-            with per_member_fallback():
-                slow_proba = model.predict_proba(X_eval)
+            slow_proba = per_member_proba(model, X_eval)
             assert np.array_equal(fast_proba, slow_proba), (
                 f"{model_name}: kernel path diverged from per-member loop"
             )
             fast = best_of(lambda: model.predict_proba(X_eval), repeats)
-            with per_member_fallback():
-                slow = best_of(lambda: model.predict_proba(X_eval), repeats)
+            slow = best_of(lambda: per_member_proba(model, X_eval), repeats)
             section[model_name][rows_name] = {
                 "rows": int(X_eval.shape[0]),
                 "kernel_ms": round(fast * 1e3, 3),
@@ -103,14 +110,10 @@ def bench_committee_ale(committee, X, edges_per_feature, repeats: int) -> dict:
     def historical():
         # Two model calls per (model, feature), per-member tree loops:
         # the exact pre-kernel committee profile.
-        with per_member_fallback():
-            return [
-                [
-                    ale_curve(model, X, j, edges_per_feature[j])
-                    for j in indices
-                ]
-                for model in committee
-            ]
+        return [
+            [ale_curve(PerMember(model), X, j, edges_per_feature[j]) for j in indices]
+            for model in committee
+        ]
 
     for fast_curves, slow_curves in zip(batched(), historical()):
         for fast_curve, slow_curve in zip(fast_curves, slow_curves):
@@ -134,25 +137,12 @@ def bench_committee_ale(committee, X, edges_per_feature, repeats: int) -> dict:
     return result
 
 
-def run_grid_cell(data, iterations: int) -> tuple[float, np.ndarray]:
-    """One experiment-grid unit of work: fit, Within-ALE feedback, score."""
-    watch = Stopwatch()
-    automl = AutoMLClassifier(
-        n_iterations=iterations, ensemble_size=5, min_distinct_members=3, random_state=7
-    ).fit(data.X, data.y)
-    AleFeedback(grid_size=16).analyze(within_ale_committee(automl), data.X, data.domains)
-    balanced_accuracy(data.y, automl.predict(data.X))
-    return watch.elapsed(), automl.predict_proba(data.X)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n-train", type=int, default=400, help="training rows")
     parser.add_argument("--n-features", type=int, default=8, help="synthetic feature count")
     parser.add_argument("--n-trees", type=int, default=200, help="forest size under test")
     parser.add_argument("--repeats", type=int, default=5, help="timing repeats (best-of)")
-    parser.add_argument("--grid-samples", type=int, default=200, help="grid-cell dataset size")
-    parser.add_argument("--grid-iterations", type=int, default=6, help="grid-cell AutoML candidates")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--output", type=Path, default=REPO_ROOT / "BENCH_ml_kernels.json", help="result file"
@@ -188,25 +178,6 @@ def main(argv=None) -> int:
     edges_per_feature = [make_grid(X_train[:, j], grid_size=16) for j in range(args.n_features)]
     ale_section = bench_committee_ale(committee, X_train, edges_per_feature, args.repeats)
 
-    print("running the representative grid cell (fit + Within-ALE feedback + scoring)")
-    data = generate_scream_dataset(args.grid_samples, random_state=args.seed)
-    kernel_seconds, kernel_proba = run_grid_cell(data, args.grid_iterations)
-    with per_member_fallback():
-        legacy_seconds, legacy_proba = run_grid_cell(data, args.grid_iterations)
-    assert np.array_equal(kernel_proba, legacy_proba), (
-        "grid cell produced different ensemble probabilities with kernels on vs off"
-    )
-    grid_section = {
-        "kernel_seconds": round(kernel_seconds, 3),
-        "per_member_seconds": round(legacy_seconds, 3),
-        "speedup": round(legacy_seconds / kernel_seconds, 2),
-        "saved_seconds": round(legacy_seconds - kernel_seconds, 3),
-    }
-    print(
-        f"grid cell  kernel {grid_section['kernel_seconds']:6.2f}s  "
-        f"per-member {grid_section['per_member_seconds']:6.2f}s  {grid_section['speedup']:5.2f}x"
-    )
-
     headline = predict_section["random_forest"]["batch_200"]["speedup"]
     assert headline >= 3.0, (
         f"TreeBank must be >= 3x the per-member loop on the 200-row forest batch, "
@@ -219,8 +190,6 @@ def main(argv=None) -> int:
             "n_features": args.n_features,
             "n_trees": args.n_trees,
             "timing_repeats_best_of": args.repeats,
-            "grid_cell_samples": args.grid_samples,
-            "grid_cell_automl_iterations": args.grid_iterations,
             "seed": args.seed,
         },
         "cpu_count": os.cpu_count(),
@@ -231,7 +200,6 @@ def main(argv=None) -> int:
         ),
         "predict_proba": predict_section,
         "committee_ale": ale_section,
-        "grid_cell": grid_section,
         "asserted_min_speedup": {"model": "random_forest", "rows": 200, "speedup": 3.0},
     }
     args.output.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")

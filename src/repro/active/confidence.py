@@ -12,7 +12,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 
-__all__ = ["least_confidence_scores", "select_least_confident", "margin_scores", "entropy_scores"]
+__all__ = ["least_confidence_scores", "select_least_confident"]
 
 
 def least_confidence_scores(model, pool_X) -> np.ndarray:
@@ -21,28 +21,12 @@ def least_confidence_scores(model, pool_X) -> np.ndarray:
     return 1.0 - proba.max(axis=1)
 
 
-def margin_scores(model, pool_X) -> np.ndarray:
-    """Uncertainty = negative margin between the top two classes."""
-    proba = model.predict_proba(np.asarray(pool_X, dtype=np.float64))
-    if proba.shape[1] < 2:
-        raise ValidationError("margin scores need at least 2 classes")
-    part = np.partition(proba, -2, axis=1)
-    return 1.0 - (part[:, -1] - part[:, -2])
-
-
-def entropy_scores(model, pool_X) -> np.ndarray:
-    """Uncertainty = predictive entropy of the class distribution."""
-    proba = model.predict_proba(np.asarray(pool_X, dtype=np.float64))
-    clipped = np.clip(proba, 1e-12, 1.0)
-    return -np.sum(clipped * np.log(clipped), axis=1)
-
-
-def select_least_confident(model, pool_X, n_points: int, *, scorer=least_confidence_scores) -> np.ndarray:
+def select_least_confident(model, pool_X, n_points: int) -> np.ndarray:
     """Indices of the ``n_points`` most uncertain pool candidates."""
     pool_X = np.asarray(pool_X, dtype=np.float64)
     if n_points < 1:
         raise ValidationError(f"n_points must be >= 1, got {n_points}")
     if n_points > pool_X.shape[0]:
         raise ValidationError(f"asked for {n_points} points from a pool of {pool_X.shape[0]}")
-    scores = scorer(model, pool_X)
+    scores = least_confidence_scores(model, pool_X)
     return np.argsort(scores)[::-1][:n_points]

@@ -1,14 +1,9 @@
-"""Label-imbalance treatments: random oversampling and SMOTE.
+"""Label-imbalance treatment: random oversampling.
 
 The Scream-vs-rest dataset is label-imbalanced, and Table 1 compares the
-feedback approaches against the standard data-science fix.  Both variants
-are provided:
-
-- :func:`random_oversample` — duplicate minority-class rows until every
-  class matches the majority count;
-- :func:`smote` — Synthetic Minority Over-sampling TEchnique (Chawla et
-  al. 2002): synthesize minority points by interpolating between a
-  minority sample and one of its ``k`` nearest minority neighbours.
+feedback approaches against the standard data-science fix:
+:func:`random_oversample` duplicates minority-class rows until every class
+matches the majority count.
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ import numpy as np
 from ..exceptions import ValidationError
 from ..rng import RandomState, check_random_state
 
-__all__ = ["random_oversample", "smote"]
+__all__ = ["random_oversample"]
 
 
 def _class_index(y: np.ndarray) -> dict:
@@ -41,57 +36,6 @@ def random_oversample(X, y, *, random_state: RandomState = None) -> tuple[np.nda
             picks = rng.choice(members, size=deficit, replace=True)
             parts_X.append(X[picks])
             parts_y.append(y[picks])
-    X_out = np.vstack(parts_X)
-    y_out = np.concatenate(parts_y)
-    order = rng.permutation(X_out.shape[0])
-    return X_out[order], y_out[order]
-
-
-def smote(
-    X,
-    y,
-    *,
-    k_neighbors: int = 5,
-    random_state: RandomState = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """SMOTE: balance classes with interpolated synthetic minority samples.
-
-    For each needed synthetic point, pick a random minority sample ``a``
-    and a random one of its ``k`` nearest minority neighbours ``b``, and
-    emit ``a + u·(b − a)`` with ``u ~ U(0, 1)``.  Classes with a single
-    sample fall back to duplication (no neighbour to interpolate toward).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError(f"X/y length mismatch: {X.shape[0]} vs {y.shape[0]}")
-    if k_neighbors < 1:
-        raise ValidationError(f"k_neighbors must be >= 1, got {k_neighbors}")
-    rng = check_random_state(random_state)
-    groups = _class_index(y)
-    target = max(members.size for members in groups.values())
-    parts_X, parts_y = [X], [y]
-    for label, members in groups.items():
-        deficit = target - members.size
-        if deficit <= 0:
-            continue
-        minority = X[members]
-        if members.size == 1:
-            parts_X.append(np.repeat(minority, deficit, axis=0))
-            parts_y.append(np.repeat(y[members], deficit))
-            continue
-        k = min(k_neighbors, members.size - 1)
-        # Pairwise distances within the minority class (small by definition).
-        deltas = minority[:, None, :] - minority[None, :, :]
-        distances = np.sqrt(np.sum(deltas**2, axis=2))
-        np.fill_diagonal(distances, np.inf)
-        neighbor_ids = np.argsort(distances, axis=1)[:, :k]
-        anchors = rng.integers(0, members.size, size=deficit)
-        picked_neighbor = neighbor_ids[anchors, rng.integers(0, k, size=deficit)]
-        fractions = rng.random((deficit, 1))
-        synthetic = minority[anchors] + fractions * (minority[picked_neighbor] - minority[anchors])
-        parts_X.append(synthetic)
-        parts_y.append(np.full(deficit, label, dtype=y.dtype))
     X_out = np.vstack(parts_X)
     y_out = np.concatenate(parts_y)
     order = rng.permutation(X_out.shape[0])

@@ -11,7 +11,6 @@ from .automl import AutoMLClassifier
 from .ensemble import EnsembleClassifier, greedy_ensemble_selection
 from .spec import AutoMLSpec
 from .halving import SuccessiveHalvingSearch
-from .meta import MetaLearningStore, MetaRecord, WarmStartSearch, compute_meta_features
 from .pipeline import Pipeline
 from .search import EvaluatedCandidate, RandomSearch, SearchResult
 from .spaces import (
@@ -32,10 +31,6 @@ __all__ = [
     "Pipeline",
     "RandomSearch",
     "SuccessiveHalvingSearch",
-    "MetaLearningStore",
-    "MetaRecord",
-    "WarmStartSearch",
-    "compute_meta_features",
     "SearchResult",
     "EvaluatedCandidate",
     "Candidate",

@@ -100,7 +100,6 @@ class RandomSearch:
         valid_fraction: float = 0.25,
         families: list[ModelFamily] | None = None,
         scorer: Callable[[np.ndarray, np.ndarray], float] | None = None,
-        initial_candidates: list[Candidate] | None = None,
         random_state: RandomState = None,
     ):
         if n_iterations < 1:
@@ -114,9 +113,6 @@ class RandomSearch:
         self.valid_fraction = valid_fraction
         self.families = families
         self.scorer = scorer or balanced_accuracy
-        # Warm-start queue (e.g. from meta-learning): evaluated first, in
-        # order, before random exploration takes over.
-        self.initial_candidates = list(initial_candidates) if initial_candidates else []
         self.random_state = random_state
 
     def run(self, X, y) -> SearchResult:
@@ -133,11 +129,10 @@ class RandomSearch:
         evaluated: list[EvaluatedCandidate] = []
         failures: list[tuple[Candidate, str]] = []
         start = time.monotonic()
-        warm_queue = list(self.initial_candidates)
         for _ in range(self.n_iterations):
             if budget_exhausted(start, self.time_budget, len(evaluated)):
                 break
-            candidate = warm_queue.pop(0) if warm_queue else sample_candidate(families, rng)
+            candidate = sample_candidate(families, rng)
             fit_start = time.monotonic()
             try:
                 candidate.pipeline.fit(X_train, y_train)

@@ -270,14 +270,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(json.dumps(StoreService(args.dir).stat(), indent=2, sort_keys=True))
         return 0
 
-    from .store import StoreService, serve_store_async, serve_store_http
+    from .store import StoreService, serve_store_http
 
     service = StoreService(args.dir, max_blob_bytes=int(args.max_blob_mb * 1024 * 1024))
-    factory = serve_store_async if args.transport == "async" else serve_store_http
-    server = factory(service, host=args.host, port=args.port)
+    server = serve_store_http(service, host=args.host, port=args.port)
     print(
-        f"artifact store serving {service.cache.directory} on {server.url} "
-        f"({args.transport} transport; Ctrl-C to stop)",
+        f"artifact store serving {service.cache.directory} on {server.url} (Ctrl-C to stop)",
         file=sys.stderr,
     )
     import threading
@@ -562,12 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument("--url", default=None, help="stat: query a running store server instead of a local directory")
     store.add_argument("--host", default="127.0.0.1")
     store.add_argument("--port", type=int, default=8751)
-    store.add_argument(
-        "--transport",
-        choices=("threaded", "async"),
-        default="threaded",
-        help="thread-per-connection or single-thread event loop (identical wire behaviour)",
-    )
     store.add_argument("--max-blob-mb", type=float, default=64.0, help="largest accepted blob (MiB)")
     store.set_defaults(handler=_cmd_store)
 

@@ -12,7 +12,6 @@ Public surface:
 """
 
 from .ale import ALECurve, ale_curve, ale_curves_for_features, ale_curves_for_models, make_grid
-from .ale2d import ALESurface, ale_interaction, interaction_disagreement
 from .drift import AleDriftReport, ale_drift
 from .pdp import pdp_curve, pdp_curves_for_models
 from .explanations import ascii_ale_plot, curves_to_csv, explain_report
@@ -32,11 +31,8 @@ __all__ = [
     "ale_curves_for_features",
     "ale_curves_for_models",
     "make_grid",
-    "ALESurface",
     "AleDriftReport",
     "ale_drift",
-    "ale_interaction",
-    "interaction_disagreement",
     "pdp_curve",
     "pdp_curves_for_models",
     "AleFeedback",

@@ -92,9 +92,10 @@ class LintConfig:
     deadcode_allow: list[str] = field(default_factory=list)
     #: RL007 usage universe: directories (relative to :attr:`base_dir`)
     #: whose files always count as potential consumers of an export, even
-    #: when the lint run targets a narrower path set — so ``repro lint src``
-    #: does not flag names whose only consumers live in ``tests/``.
-    deadcode_roots: list[str] = field(default_factory=lambda: ["src", "tests", "benchmarks", "examples"])
+    #: when the lint run targets a narrower path set.  Only production
+    #: code counts: an export whose sole consumers live in ``tests/`` is
+    #: dead code with a test attached, and gets flagged.
+    deadcode_roots: list[str] = field(default_factory=lambda: ["src", "benchmarks", "examples", "perfbench"])
     #: Directory :attr:`deadcode_roots` resolve against — the directory of
     #: the ``pyproject.toml`` the config came from (``None`` = no extras).
     base_dir: Path | None = None

@@ -268,7 +268,7 @@ class LintEngine:
         config's ``base_dir``) always join the set as *usage-only*
         contexts (``ctx.usage_only = True``): they count as consumers but
         are never themselves checked for dead exports, so a narrow run
-        like ``repro lint src`` still sees the consumers in ``tests/``.
+        like ``repro lint src`` still sees the consumers in ``benchmarks/``.
         """
         root = Path(root) if root is not None else None
         explicit = list(self._expand(paths))

@@ -18,8 +18,8 @@ rests on (see DESIGN.md §3 and README "Code invariants & reprolint"):
   signature no longer has; stale parameter docs teach callers an API
   that does not exist.
 - RL007 — every name a module exports via ``__all__`` must be consumed
-  somewhere else in the tree (or allowlisted as intentional public API);
-  dead exports are the residue refactors leave behind.
+  by production code elsewhere in the tree (or allowlisted as intentional
+  public API); dead exports are the residue refactors leave behind.
 """
 
 from __future__ import annotations
@@ -479,8 +479,9 @@ class DeadExportRule(ProjectRule):
     1. **exports** — for every module under the root package, collect the
        string entries of its top-level ``__all__`` (each pinned to its own
        source line for precise findings);
-    2. **uses** — for every file in the set (source *and* tests *and*
-       benchmarks *and* examples, whatever the caller passed), collect all
+    2. **uses** — for every file in the set (the paths the caller passed
+       plus the configured ``deadcode_roots``: by default source,
+       benchmarks, examples and perfbench, but not tests), collect all
        names that could consume an export: ``from X import name`` targets,
        attribute accesses (``module.name``), and plain name loads.
 

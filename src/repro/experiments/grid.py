@@ -48,8 +48,6 @@ from .tasks import GRID_CELL_TASK
 
 __all__ = [
     "RepeatPlan",
-    "CellFailure",
-    "GridResult",
     "strategy_key",
     "fetch_datasets",
     "clear_dataset_memo",

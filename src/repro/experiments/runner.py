@@ -33,7 +33,6 @@ __all__ = [
     "STRATEGIES",
     "ORACLE_STRATEGIES",
     "strategy",
-    "evaluate_on_test_sets",
     "run_strategy",
 ]
 

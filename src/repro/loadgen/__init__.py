@@ -13,7 +13,7 @@ asserting it in prose.  Three modules, layered strictly above
   for every offered attempt;
 - :mod:`~repro.loadgen.report` — :class:`LoadReport` aggregation
   (counts, p50/p95/p99, per-second series) and the invariant checkers:
-  the zero-drop accounting identity, shed-rate bounds, p99 ceilings.
+  the zero-drop accounting identity and shed-rate bounds.
 
 ``python -m repro loadtest`` exposes the harness on the CLI;
 ``benchmarks/bench_loadgen.py`` asserts the serving invariants under
@@ -21,7 +21,7 @@ overload and records them in ``BENCH_loadgen.json``.
 """
 
 from .driver import HttpTarget, InProcessTarget, run_workload
-from .report import OUTCOMES, Attempt, LoadReport, check_accounting, check_p99, check_shed_rate
+from .report import OUTCOMES, Attempt, LoadReport, check_accounting, check_shed_rate
 from .workloads import (
     WorkloadShape,
     arrival_times,
@@ -38,7 +38,6 @@ __all__ = [
     "Attempt",
     "LoadReport",
     "check_accounting",
-    "check_p99",
     "check_shed_rate",
     "WorkloadShape",
     "arrival_times",

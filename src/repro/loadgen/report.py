@@ -12,8 +12,8 @@ is structural: an attempt that vanishes without an outcome is a dropped
 request, which is precisely the bug class this harness exists to catch.
 :func:`check_accounting` asserts the identity (and, by default, that
 nothing landed in ``failed`` — overload must shed or time out, never
-drop); :func:`check_shed_rate` and :func:`check_p99` bound the other two
-promises a serving layer makes under load.
+drop); :func:`check_shed_rate` bounds how much of an overload the
+service refused.
 
 Checkers raise :class:`~repro.exceptions.LoadTestError` so benchmark
 scripts and tests fail loudly with the offending numbers in the message.
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..exceptions import LoadTestError, ValidationError
 
-__all__ = ["OUTCOMES", "Attempt", "LoadReport", "check_accounting", "check_shed_rate", "check_p99"]
+__all__ = ["OUTCOMES", "Attempt", "LoadReport", "check_accounting", "check_shed_rate"]
 
 #: The exhaustive, mutually exclusive ways one attempt can end.
 OUTCOMES = ("completed", "shed", "timed_out", "failed")
@@ -170,12 +170,3 @@ def check_shed_rate(report: LoadReport, *, max_rate: float | None = None, min_ra
         raise LoadTestError(f"shed rate {rate:.3f} exceeds bound {max_rate:.3f}")
     if min_rate is not None and rate < min_rate:
         raise LoadTestError(f"shed rate {rate:.3f} below expected floor {min_rate:.3f}")
-
-
-def check_p99(report: LoadReport, ceiling: float) -> None:
-    """Assert completed-request p99 latency is at most ``ceiling`` seconds."""
-    if not report.completed:
-        raise LoadTestError("no completed requests; p99 is undefined")
-    p99 = float(report.latency["p99"])
-    if p99 > ceiling:
-        raise LoadTestError(f"p99 latency {p99:.4f}s exceeds ceiling {ceiling:.4f}s")

@@ -10,27 +10,13 @@ protocol intentionally mirrors scikit-learn (``fit`` / ``predict`` /
 from .base import BaseEstimator, ClassifierMixin, check_array, check_is_fitted, check_X_y, clone
 from .boosting import GradientBoostingClassifier
 from .forest import ExtraTreesClassifier, RandomForestClassifier
-from .kernels import TreeBank, per_member_fallback
+from .kernels import TreeBank
 from .linear import LogisticRegression, softmax
-from .metrics import accuracy, balanced_accuracy, confusion_matrix, log_loss, macro_f1, precision_recall_f1
-from .model_selection import (
-    KFold,
-    StratifiedKFold,
-    cross_val_score,
-    partition_evenly,
-    stratified_split_indices,
-    train_test_split,
-)
-from .naive_bayes import GaussianNB, MultinomialNB
+from .metrics import accuracy, balanced_accuracy
+from .model_selection import partition_evenly, stratified_split_indices, train_test_split
+from .naive_bayes import GaussianNB
 from .neighbors import KNeighborsClassifier
-from .preprocessing import (
-    IdentityTransformer,
-    LabelEncoder,
-    MinMaxScaler,
-    OneHotEncoder,
-    SimpleImputer,
-    StandardScaler,
-)
+from .preprocessing import IdentityTransformer, MinMaxScaler, StandardScaler
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
@@ -46,28 +32,16 @@ __all__ = [
     "ExtraTreesClassifier",
     "GradientBoostingClassifier",
     "TreeBank",
-    "per_member_fallback",
     "LogisticRegression",
     "softmax",
     "GaussianNB",
-    "MultinomialNB",
     "KNeighborsClassifier",
     "StandardScaler",
     "MinMaxScaler",
-    "SimpleImputer",
-    "OneHotEncoder",
-    "LabelEncoder",
     "IdentityTransformer",
     "accuracy",
     "balanced_accuracy",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "macro_f1",
-    "log_loss",
     "train_test_split",
     "stratified_split_indices",
-    "KFold",
-    "StratifiedKFold",
-    "cross_val_score",
     "partition_evenly",
 ]

@@ -10,7 +10,7 @@ differently-biased members to the AutoML ensemble.
 classes`` per-tree passes; the logit accumulation replays the historical
 stage/class loop order exactly, keeping predictions bitwise-identical
 (``_decision_function_per_member`` keeps the legacy loop as the
-benchmark baseline and equivalence-test reference).
+equivalence-test oracle and benchmark baseline).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from ..exceptions import ValidationError
 from ..rng import RandomState, check_random_state, spawn
 from .base import BaseEstimator, ClassifierMixin, check_array, check_is_fitted, check_X_y
-from .kernels import TreeBank, bank_enabled
+from .kernels import TreeBank
 from .linear import softmax
 from .tree import DecisionTreeRegressor
 
@@ -126,8 +126,6 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
 
     def decision_function(self, X) -> np.ndarray:
         X = self._validate_predict_input(X)
-        if not bank_enabled():
-            return self._accumulate_stage_logits(X)
         bank = self._tree_bank()
         leaves = bank.apply(X)  # (rounds * classes, n) stage-major
         # Accumulate stage by stage, class by class — the identical float
@@ -140,17 +138,14 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
                 index += 1
         return logits
 
-    def _accumulate_stage_logits(self, X: np.ndarray) -> np.ndarray:
-        """Legacy per-tree loop (benchmark baseline / equivalence reference)."""
+    def _decision_function_per_member(self, X) -> np.ndarray:
+        """Legacy per-tree loop: the kernel's test oracle and benchmark baseline."""
+        X = self._validate_predict_input(X)
         logits = np.tile(self.base_score_, (X.shape[0], 1))
         for stage in self.stages_:
             for c, tree in enumerate(stage):
                 logits[:, c] += self.learning_rate * tree.predict(X)
         return logits
-
-    def _decision_function_per_member(self, X) -> np.ndarray:
-        """Validated entry point for the legacy path (tests, benchmarks)."""
-        return self._accumulate_stage_logits(self._validate_predict_input(X))
 
     def predict_proba(self, X) -> np.ndarray:
         return softmax(self.decision_function(X))

@@ -9,8 +9,8 @@ tree is concatenated into one struct-of-arrays bank and all trees descend
 for all rows in a single level-synchronous loop.  The probability
 accumulation replays the historical per-member loop's float-operation
 order exactly, so the kernel path is bitwise-identical to per-member
-prediction (``_predict_proba_per_member`` keeps the legacy loop alive as
-the benchmark baseline and equivalence-test reference).
+prediction (``_predict_proba_per_member`` keeps the legacy loop as the
+equivalence-test oracle and benchmark baseline).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from ..exceptions import ValidationError
 from ..rng import RandomState, check_random_state, spawn
 from .base import BaseEstimator, ClassifierMixin, check_array, check_is_fitted, check_X_y
-from .kernels import TreeBank, bank_enabled
+from .kernels import TreeBank
 from .tree import DecisionTreeClassifier
 
 __all__ = ["RandomForestClassifier", "ExtraTreesClassifier"]
@@ -155,8 +155,6 @@ class _BaseForest(BaseEstimator, ClassifierMixin):
 
     def predict_proba(self, X) -> np.ndarray:
         X = self._validate_predict_input(X)
-        if not bank_enabled():
-            return self._accumulate_member_proba(X)
         bank = self._tree_bank()
         leaves = bank.apply(X)
         # Accumulate in member order, one vectorized add per tree — the
@@ -169,8 +167,9 @@ class _BaseForest(BaseEstimator, ClassifierMixin):
         proba /= len(self.estimators_)
         return proba
 
-    def _accumulate_member_proba(self, X: np.ndarray) -> np.ndarray:
-        """Legacy per-member loop (benchmark baseline / equivalence reference)."""
+    def _predict_proba_per_member(self, X) -> np.ndarray:
+        """Legacy per-member loop: the kernel's test oracle and benchmark baseline."""
+        X = self._validate_predict_input(X)
         proba = np.zeros((X.shape[0], self.n_classes_), dtype=np.float64)
         for tree in self.estimators_:
             tree_proba = tree.predict_proba(X)
@@ -179,10 +178,6 @@ class _BaseForest(BaseEstimator, ClassifierMixin):
             proba[:, member_classes] += tree_proba
         proba /= len(self.estimators_)
         return proba
-
-    def _predict_proba_per_member(self, X) -> np.ndarray:
-        """Validated entry point for the legacy path (tests, benchmarks)."""
-        return self._accumulate_member_proba(self._validate_predict_input(X))
 
 
 class RandomForestClassifier(_BaseForest):

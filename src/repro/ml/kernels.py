@@ -32,53 +32,19 @@ prediction — the accumulation order — stays with the owning ensemble,
 which must replay the exact float-operation sequence of its historical
 per-member loop so predictions remain bitwise-identical (the contract
 the golden-master and serve-identity tests pin).
-
-``per_member_fallback`` routes ensemble predictions back through the
-legacy per-member loops; benchmarks use it to measure the kernel win and
-equivalence tests use it to prove bitwise identity.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import ValidationError
 
-__all__ = ["TreeBank", "per_member_fallback", "bank_enabled"]
+__all__ = ["TreeBank"]
 
 _LEAF = -1
-
-#: When False, ensembles route predictions through their legacy
-#: per-member Python loops (see :func:`per_member_fallback`).
-_BANK_ENABLED = True
-
-
-def bank_enabled() -> bool:
-    """Whether ensembles should use their :class:`TreeBank` fast path."""
-    return _BANK_ENABLED
-
-
-@contextmanager
-def per_member_fallback():
-    """Temporarily route ensemble predictions through per-member loops.
-
-    The benchmark baseline: inside this context, forests and boosting
-    models predict via their historical per-member Python loops instead
-    of the :class:`TreeBank` kernel.  Both paths are bitwise-identical by
-    contract; the context exists to *measure* the kernel win and to test
-    that contract.  Not thread-safe — this flips a module-level flag and
-    is meant for benchmarks and tests, never for serving.
-    """
-    global _BANK_ENABLED
-    previous = _BANK_ENABLED
-    _BANK_ENABLED = False
-    try:
-        yield
-    finally:
-        _BANK_ENABLED = previous
 
 
 class TreeBank:

@@ -1,4 +1,4 @@
-"""Dataset splitting and cross-validation utilities.
+"""Dataset splitting utilities.
 
 The evaluation protocol in the paper leans heavily on repeated splits
 (20 test sets per experiment, 5 re-splits of the firewall data), so these
@@ -7,20 +7,14 @@ helpers are exercised throughout :mod:`repro.experiments`.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from ..exceptions import ValidationError
 from ..rng import RandomState, check_random_state
-from .base import clone
 
 __all__ = [
     "train_test_split",
     "stratified_split_indices",
-    "KFold",
-    "StratifiedKFold",
-    "cross_val_score",
     "partition_evenly",
 ]
 
@@ -90,69 +84,3 @@ def partition_evenly(n: int, k: int, *, rng: np.random.Generator) -> list[np.nda
         raise ValidationError(f"cannot partition {n} samples into {k} non-empty groups")
     order = rng.permutation(n)
     return [np.sort(part) for part in np.array_split(order, k)]
-
-
-class KFold:
-    """Plain k-fold cross validation over shuffled indices."""
-
-    def __init__(self, n_splits: int = 5, *, random_state: RandomState = None):
-        if n_splits < 2:
-            raise ValidationError(f"n_splits must be >= 2, got {n_splits}")
-        self.n_splits = n_splits
-        self.random_state = random_state
-
-    def split(self, X, y=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        n = np.asarray(X).shape[0]
-        if n < self.n_splits:
-            raise ValidationError(f"cannot make {self.n_splits} folds from {n} samples")
-        rng = check_random_state(self.random_state)
-        folds = partition_evenly(n, self.n_splits, rng=rng)
-        for i, test_idx in enumerate(folds):
-            train_idx = np.concatenate([fold for j, fold in enumerate(folds) if j != i])
-            yield np.sort(train_idx), test_idx
-
-
-class StratifiedKFold:
-    """K-fold that keeps per-class proportions approximately equal per fold."""
-
-    def __init__(self, n_splits: int = 5, *, random_state: RandomState = None):
-        if n_splits < 2:
-            raise ValidationError(f"n_splits must be >= 2, got {n_splits}")
-        self.n_splits = n_splits
-        self.random_state = random_state
-
-    def split(self, X, y) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        y = np.asarray(y)
-        rng = check_random_state(self.random_state)
-        fold_members: list[list[np.ndarray]] = [[] for _ in range(self.n_splits)]
-        for label in np.unique(y):
-            members = rng.permutation(np.flatnonzero(y == label))
-            if members.size < self.n_splits:
-                raise ValidationError(
-                    f"class {label!r} has {members.size} samples, fewer than n_splits={self.n_splits}"
-                )
-            for i, chunk in enumerate(np.array_split(members, self.n_splits)):
-                fold_members[i].append(chunk)
-        folds = [np.sort(np.concatenate(parts)) for parts in fold_members]
-        for i, test_idx in enumerate(folds):
-            train_idx = np.sort(np.concatenate([fold for j, fold in enumerate(folds) if j != i]))
-            yield train_idx, test_idx
-
-
-def cross_val_score(estimator, X, y, *, cv=None, scorer=None) -> np.ndarray:
-    """Fit a clone of ``estimator`` per fold and return out-of-fold scores.
-
-    ``scorer(y_true, y_pred) -> float`` defaults to plain accuracy.
-    """
-    X = np.asarray(X)
-    y = np.asarray(y)
-    if cv is None:
-        cv = StratifiedKFold(n_splits=3, random_state=0)
-    if scorer is None:
-        scorer = lambda y_true, y_pred: float(np.mean(y_true == y_pred))
-    scores = []
-    for train_idx, test_idx in cv.split(X, y):
-        model = clone(estimator)
-        model.fit(X[train_idx], y[train_idx])
-        scores.append(scorer(y[test_idx], model.predict(X[test_idx])))
-    return np.asarray(scores, dtype=np.float64)

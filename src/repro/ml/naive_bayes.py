@@ -1,4 +1,4 @@
-"""Naive Bayes classifiers (Gaussian and multinomial).
+"""Gaussian naive Bayes classifier.
 
 Naive Bayes is the canonical example in the paper's discussion of priors
 (§1): its conditional-independence assumption is exactly the kind of domain
@@ -13,7 +13,7 @@ import numpy as np
 from ..exceptions import ValidationError
 from .base import BaseEstimator, ClassifierMixin, check_array, check_is_fitted, check_X_y
 
-__all__ = ["GaussianNB", "MultinomialNB"]
+__all__ = ["GaussianNB"]
 
 
 class GaussianNB(BaseEstimator, ClassifierMixin):
@@ -59,48 +59,6 @@ class GaussianNB(BaseEstimator, ClassifierMixin):
         if X.shape[1] != self.n_features_:
             raise ValidationError(f"expected {self.n_features_} features, got {X.shape[1]}")
         jll = self._joint_log_likelihood(X)
-        jll -= jll.max(axis=1, keepdims=True)
-        likelihood = np.exp(jll)
-        return likelihood / likelihood.sum(axis=1, keepdims=True)
-
-
-class MultinomialNB(BaseEstimator, ClassifierMixin):
-    """Multinomial naive Bayes for non-negative count-like features.
-
-    Suits the firewall dataset's byte/packet-count columns.  ``alpha`` is
-    the usual Laplace/Lidstone smoothing term.
-    """
-
-    def __init__(self, *, alpha: float = 1.0):
-        if alpha <= 0:
-            raise ValidationError(f"alpha must be positive, got {alpha}")
-        self.alpha = alpha
-
-    def fit(self, X, y) -> "MultinomialNB":
-        X, y = check_X_y(X, y)
-        if (X < 0).any():
-            raise ValidationError("MultinomialNB requires non-negative features")
-        encoded = self._encode_labels(y)
-        k = self.n_classes_
-        d = X.shape[1]
-        self.feature_log_prob_ = np.zeros((k, d))
-        self.class_log_prior_ = np.zeros(k)
-        for c in range(k):
-            members = X[encoded == c]
-            counts = members.sum(axis=0) + self.alpha
-            self.feature_log_prob_[c] = np.log(counts / counts.sum())
-            self.class_log_prior_[c] = np.log(members.shape[0] / X.shape[0])
-        self.n_features_ = d
-        return self
-
-    def predict_proba(self, X) -> np.ndarray:
-        check_is_fitted(self, "feature_log_prob_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_:
-            raise ValidationError(f"expected {self.n_features_} features, got {X.shape[1]}")
-        if (X < 0).any():
-            raise ValidationError("MultinomialNB requires non-negative features")
-        jll = X @ self.feature_log_prob_.T + self.class_log_prior_
         jll -= jll.max(axis=1, keepdims=True)
         likelihood = np.exp(jll)
         return likelihood / likelihood.sum(axis=1, keepdims=True)

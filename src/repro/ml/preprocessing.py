@@ -1,14 +1,11 @@
 """Feature preprocessing transformers.
 
 These are the preprocessing steps the AutoML pipelines search over:
-standardization, min-max scaling, mean/median imputation, one-hot encoding
-of integer-coded categorical columns, and label encoding.  All follow the
+standardization, min-max scaling, or none.  All follow the
 ``fit``/``transform`` protocol from :mod:`repro.ml.base`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -18,9 +15,6 @@ from .base import BaseEstimator, check_array, check_is_fitted
 __all__ = [
     "StandardScaler",
     "MinMaxScaler",
-    "SimpleImputer",
-    "OneHotEncoder",
-    "LabelEncoder",
     "IdentityTransformer",
 ]
 
@@ -91,117 +85,3 @@ class MinMaxScaler(BaseEstimator):
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X, y).transform(X)
-
-
-class SimpleImputer(BaseEstimator):
-    """Replace NaN entries with the per-column mean or median.
-
-    Unlike the other transformers this one accepts NaN in its input (that is
-    its whole point), so it performs its own lighter validation.
-    """
-
-    def __init__(self, strategy: str = "mean"):
-        if strategy not in ("mean", "median"):
-            raise ValidationError(f"strategy must be 'mean' or 'median', got {strategy!r}")
-        self.strategy = strategy
-
-    @staticmethod
-    def _as_matrix(X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValidationError(f"X must be 2-dimensional, got {X.ndim} dimensions")
-        return X
-
-    def fit(self, X, y=None) -> "SimpleImputer":
-        X = self._as_matrix(X)
-        with warnings.catch_warnings():
-            # An all-NaN column legitimately has no statistic; it is
-            # handled below, so the numpy warning is just noise.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            if self.strategy == "mean":
-                fill = np.nanmean(X, axis=0)
-            else:
-                fill = np.nanmedian(X, axis=0)
-        # A column that is entirely NaN has no statistic; fill with zero.
-        self.fill_ = np.where(np.isfinite(fill), fill, 0.0)
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "fill_")
-        X = self._as_matrix(X).copy()
-        if X.shape[1] != self.fill_.shape[0]:
-            raise ValidationError(f"expected {self.fill_.shape[0]} features, got {X.shape[1]}")
-        rows, cols = np.where(~np.isfinite(X))
-        X[rows, cols] = self.fill_[cols]
-        return X
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X, y).transform(X)
-
-
-class OneHotEncoder(BaseEstimator):
-    """One-hot encode selected integer-coded columns, pass the rest through.
-
-    Values unseen during fit map to the all-zeros vector for that column,
-    which keeps transform total on test data.
-    """
-
-    def __init__(self, columns: tuple[int, ...] = ()):
-        self.columns = tuple(columns)
-
-    def fit(self, X, y=None) -> "OneHotEncoder":
-        X = check_array(X)
-        for col in self.columns:
-            if not 0 <= col < X.shape[1]:
-                raise ValidationError(f"one-hot column {col} out of range for {X.shape[1]} features")
-        self.categories_ = {col: np.unique(X[:, col]) for col in self.columns}
-        self.n_input_features_ = X.shape[1]
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "categories_")
-        X = check_array(X)
-        if X.shape[1] != self.n_input_features_:
-            raise ValidationError(f"expected {self.n_input_features_} features, got {X.shape[1]}")
-        blocks = []
-        for col in range(X.shape[1]):
-            if col in self.categories_:
-                cats = self.categories_[col]
-                blocks.append((X[:, col : col + 1] == cats.reshape(1, -1)).astype(np.float64))
-            else:
-                blocks.append(X[:, col : col + 1])
-        return np.hstack(blocks)
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X, y).transform(X)
-
-
-class LabelEncoder(BaseEstimator):
-    """Map arbitrary hashable labels onto ``0..n_classes-1``."""
-
-    def fit(self, y) -> "LabelEncoder":
-        y = np.asarray(y)
-        if y.ndim != 1:
-            raise ValidationError("LabelEncoder expects a 1-D label array")
-        self.classes_ = np.unique(y)
-        return self
-
-    def transform(self, y) -> np.ndarray:
-        check_is_fitted(self, "classes_")
-        y = np.asarray(y)
-        encoded = np.searchsorted(self.classes_, y)
-        valid = (encoded < self.classes_.size) & (self.classes_[np.minimum(encoded, self.classes_.size - 1)] == y)
-        if not valid.all():
-            unknown = np.unique(y[~valid])
-            raise ValidationError(f"labels not seen during fit: {unknown.tolist()}")
-        return encoded.astype(np.int64)
-
-    def inverse_transform(self, encoded) -> np.ndarray:
-        check_is_fitted(self, "classes_")
-        encoded = np.asarray(encoded, dtype=np.int64)
-        if encoded.min(initial=0) < 0 or encoded.max(initial=0) >= self.classes_.size:
-            raise ValidationError("encoded labels out of range")
-        return self.classes_[encoded]
-
-    def fit_transform(self, y) -> np.ndarray:
-        return self.fit(y).transform(y)

@@ -11,7 +11,6 @@ Protocols: SCReAM, Cubic, Reno, Vegas, and a BBR-like controller, all
 implemented from scratch in :mod:`repro.netsim.cc`.
 """
 
-from .aqm import RED, CoDel, DropTail, QueueDiscipline, make_discipline
 from .cc import BBR, PROTOCOLS, CongestionControl, Cubic, Reno, Scream, Vegas, make_protocol
 from .emulator import FlowMetrics, run_packet_scenario
 from .events import Simulator
@@ -19,7 +18,6 @@ from .fluid import FluidTrace, run_fluid_scenario
 from .link import BottleneckLink, LinkStats
 from .flow import FlowStats, Sender
 from .packet import DEFAULT_PACKET_BYTES, NetworkScenario, Packet
-from .path import NetworkPath
 from .scenarios import DEFAULT_SPACE, ScenarioSpace
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "DEFAULT_PACKET_BYTES",
     "BottleneckLink",
     "LinkStats",
-    "NetworkPath",
     "Sender",
     "FlowStats",
     "FlowMetrics",
@@ -46,9 +43,4 @@ __all__ = [
     "BBR",
     "PROTOCOLS",
     "make_protocol",
-    "QueueDiscipline",
-    "DropTail",
-    "RED",
-    "CoDel",
-    "make_discipline",
 ]

@@ -66,16 +66,13 @@ def run_packet_scenario(
     *,
     duration: float = 8.0,
     warmup: float = 1.0,
-    discipline=None,
     random_state: RandomState = None,
     max_events: int = 2_000_000,
 ) -> FlowMetrics:
     """Emulate ``n_flows`` senders of ``protocol`` through the bottleneck.
 
     ``warmup`` seconds of initial transients (slow start, rate ramp) are
-    excluded from the latency statistics.  ``discipline`` selects the
-    bottleneck queue's AQM (a :class:`repro.netsim.aqm.QueueDiscipline`;
-    default drop-tail).
+    excluded from the latency statistics.
     """
     if duration <= warmup:
         raise EmulationError(f"duration {duration} must exceed warmup {warmup}")
@@ -89,7 +86,6 @@ def run_packet_scenario(
         one_way_delay=scenario.base_rtt_s / 2.0,
         queue_capacity=scenario.queue_capacity_packets,
         loss_rate=scenario.loss_rate,
-        discipline=discipline,
         rng=link_rng,
     )
     senders = []

@@ -51,7 +51,6 @@ class BottleneckLink:
         one_way_delay: float,
         queue_capacity: int,
         loss_rate: float = 0.0,
-        discipline=None,
         rng: np.random.Generator | None = None,
     ):
         if rate_pps <= 0:
@@ -68,12 +67,6 @@ class BottleneckLink:
         self.queue_capacity = queue_capacity
         self.loss_rate = loss_rate
         self.rng = check_random_state(rng)
-        # Imported here to avoid a module cycle (aqm uses Packet from this
-        # package); DropTail is the classic default.
-        from .aqm import DropTail
-
-        self.discipline = discipline if discipline is not None else DropTail()
-        self.discipline.reset()
         self._queue: deque[tuple[Packet, Callable[[Packet], None]]] = deque()
         self._busy = False
         self.stats = LinkStats()
@@ -93,10 +86,7 @@ class BottleneckLink:
             self.stats.dropped_random += 1
             self._notify_drop(packet)
             return False
-        admitted = self.discipline.admit(
-            queue_length=len(self._queue), capacity=self.queue_capacity, now=self.sim.now
-        )
-        if not admitted or len(self._queue) >= self.queue_capacity:
+        if len(self._queue) >= self.queue_capacity:
             self.stats.dropped_overflow += 1
             self._notify_drop(packet)
             return False
@@ -117,12 +107,6 @@ class BottleneckLink:
             self._busy = False
             return
         packet, deliver = self._queue.popleft()
-        if not self.discipline.deliver(packet, now=self.sim.now, rate_pps=self.rate_pps):
-            # Head drop (CoDel-style): count it and move straight on.
-            self.stats.dropped_overflow += 1
-            self._notify_drop(packet)
-            self._transmit_next()
-            return
         serialization = 1.0 / self.rate_pps
         self.stats.busy_time += serialization
         packet.dequeue_time = self.sim.now

@@ -24,7 +24,7 @@ package on the CLI.
 """
 
 from .async_http import AsyncHTTPServer, serve_async_http
-from .client import HttpClient, InProcessClient
+from .client import InProcessClient
 from .engine import InferenceEngine, Prediction, ServeConfig, ShadowMirror
 from .http import ServeHTTPServer, serve_http
 from .metrics import Counter, Histogram, MetricsRegistry
@@ -53,7 +53,6 @@ __all__ = [
     "ModelRouter",
     "RequestDispatcher",
     "InProcessClient",
-    "HttpClient",
     "MetricsRegistry",
     "Counter",
     "Histogram",

@@ -56,7 +56,6 @@ _REASONS = {
     204: "No Content",
     400: "Bad Request",
     404: "Not Found",
-    413: "Payload Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -127,9 +126,6 @@ class AsyncHTTPServer:
         self.dispatcher = RequestDispatcher(service)
         self.idle_timeout = idle_timeout
         self.max_connections = max_connections
-        #: Instance-level body cap so subclasses (the artifact store, whose
-        #: blobs are legitimately large) can raise or lower it per server.
-        self.max_body_bytes = MAX_BODY_BYTES
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -341,9 +337,10 @@ class AsyncHTTPServer:
                     conn, 400, {"error": "invalid Content-Length", "type": "ValidationError"}, close=True
                 )
                 return
-            if length > self.max_body_bytes:
+            if length > MAX_BODY_BYTES:
                 conn.rbuf.clear()
-                status, payload = self._oversized_body(length)
+                error = ValidationError(f"request body too large ({length} bytes > {MAX_BODY_BYTES})")
+                status, payload = self.dispatcher.error_response(error)
                 self._respond(conn, status, payload, close=True)
                 return
             total = split + 4 + length
@@ -352,25 +349,12 @@ class AsyncHTTPServer:
             body = bytes(conn.rbuf[split + 4 : total])
             del conn.rbuf[:total]
             close_requested = headers.get("connection", "").lower() == "close"
-            self._handle(conn, method, path, body, close_requested, headers)
+            self._handle(conn, method, path, body, close_requested)
 
     # -- request handling ---------------------------------------------------
 
-    def _oversized_body(self, length: int) -> tuple[int, dict]:
-        """The 400 payload for a too-large body; subclasses map it to 413."""
-        error = ValidationError(
-            f"request body too large ({length} bytes > {self.max_body_bytes})"
-        )
-        return self.dispatcher.error_response(error)
-
     def _handle(
-        self,
-        conn: _Connection,
-        method: str,
-        path: str,
-        body: bytes,
-        close_requested: bool,
-        headers: dict[str, str],
+        self, conn: _Connection, method: str, path: str, body: bytes, close_requested: bool
     ) -> None:
         dispatcher = self.dispatcher
         if method == "GET":
@@ -479,35 +463,15 @@ class AsyncHTTPServer:
     # -- writing -----------------------------------------------------------
 
     def _respond(self, conn: _Connection, status: int, payload: dict, *, close: bool = False) -> None:
-        self._respond_bytes(
-            conn, status, json.dumps(payload).encode("utf-8"), "application/json", close=close
-        )
-
-    def _respond_bytes(
-        self,
-        conn: _Connection,
-        status: int,
-        body: bytes,
-        content_type: str,
-        *,
-        extra_headers: dict[str, str] | None = None,
-        close: bool = False,
-    ) -> None:
-        """Queue a raw response body (JSON or binary) on the write buffer.
-
-        The JSON ``_respond`` is a thin wrapper over this; the artifact
-        store's event-loop transport uses it directly to ship pickled
-        blobs with their digest header.
-        """
+        """Queue one JSON response on the connection's write buffer."""
         if not conn.open:
             return
+        body = json.dumps(payload).encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
+            "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
         )
-        for name, value in (extra_headers or {}).items():
-            head += f"{name}: {value}\r\n"
         if close or self._closing.is_set():
             head += "Connection: close\r\n"
             conn.close_after_write = True

@@ -1,27 +1,18 @@
-"""Clients for the serving API: in-process and over HTTP.
+"""The in-process client for the serving API.
 
-Both speak the same four operations with the same response shapes, so a
-test written against :class:`InProcessClient` also documents the HTTP
-contract.  :class:`InProcessClient` calls the :class:`ServeService`
-directly (no sockets, no serialization) — it is the harness the
-concurrency and determinism tests hammer.  :class:`HttpClient` wraps the
-JSON API with :mod:`urllib` (stdlib-only), translating the error-status
-contract back into the typed exceptions (``503`` →
-:class:`BackpressureError`, ``504`` → :class:`RequestTimeoutError`,
-``400`` → :class:`ValidationError`).
+:class:`InProcessClient` speaks the four HTTP operations with the same
+response shapes, calling the :class:`ServeService` directly (no sockets,
+no serialization) — it is the harness the concurrency and determinism
+tests hammer.
 """
 
 from __future__ import annotations
 
-import json
-import urllib.error
-import urllib.request
 from typing import Any
 
-from ..exceptions import BackpressureError, RequestTimeoutError, ServeError, ValidationError
 from .service import ServeService
 
-__all__ = ["InProcessClient", "HttpClient"]
+__all__ = ["InProcessClient"]
 
 
 class InProcessClient:
@@ -41,56 +32,3 @@ class InProcessClient:
 
     def metrics(self) -> dict[str, Any]:
         return self.service.metrics()
-
-
-_STATUS_ERRORS = {
-    400: ValidationError,
-    503: BackpressureError,
-    504: RequestTimeoutError,
-}
-
-
-class HttpClient:
-    """Stdlib-urllib client for a running :class:`ServeHTTPServer`."""
-
-    def __init__(self, url: str, *, timeout: float = 30.0):
-        self.url = url.rstrip("/")
-        self.timeout = timeout
-
-    def _request(self, path: str, payload: dict | None = None) -> dict[str, Any]:
-        if payload is None:
-            request = urllib.request.Request(self.url + path, method="GET")
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            request = urllib.request.Request(
-                self.url + path,
-                data=body,
-                method="POST",
-                headers={"Content-Type": "application/json"},
-            )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            detail = self._error_detail(error)
-            raise _STATUS_ERRORS.get(error.code, ServeError)(detail) from None
-
-    @staticmethod
-    def _error_detail(error: urllib.error.HTTPError) -> str:
-        try:
-            payload = json.loads(error.read().decode("utf-8"))
-            return str(payload.get("error", payload))
-        except Exception:
-            return f"HTTP {error.code}"
-
-    def predict(self, rows) -> dict[str, Any]:
-        return self._request("/predict", {"rows": rows})
-
-    def feedback(self, limit: int | None = None) -> dict[str, Any]:
-        return self._request("/feedback", {} if limit is None else {"limit": limit})
-
-    def healthz(self) -> dict[str, Any]:
-        return self._request("/healthz")
-
-    def metrics(self) -> dict[str, Any]:
-        return self._request("/metrics")

@@ -46,6 +46,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServeHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two sends; with Nagle on, a keep-alive
+    # reply waits for the client's delayed ACK (~40 ms on Linux).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -57,12 +60,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection's framing is lost.
+            self.close_connection = True
+            if length < 0:
+                raise ValidationError("invalid Content-Length")
             raise ValidationError(f"request body too large ({length} bytes > {MAX_BODY_BYTES})")
         raw = self.rfile.read(length) if length else b"{}"
         return parse_json_body(raw)

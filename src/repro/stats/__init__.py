@@ -1,6 +1,5 @@
 """Statistical machinery for the evaluation (Wilcoxon tests, Table 1)."""
 
-from .bootstrap import BootstrapCI, bootstrap_difference_ci, bootstrap_mean_ci
 from .significance import AlgorithmScores, SignificanceTable
 from .wilcoxon import WilcoxonResult, wilcoxon_signed_rank
 
@@ -9,7 +8,4 @@ __all__ = [
     "wilcoxon_signed_rank",
     "AlgorithmScores",
     "SignificanceTable",
-    "BootstrapCI",
-    "bootstrap_mean_ci",
-    "bootstrap_difference_ci",
 ]

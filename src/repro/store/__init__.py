@@ -5,15 +5,13 @@ content-addressed key — so warming a cache is location-independent.
 This package is the network tier that exploits that: an HTTP blob
 server over an :class:`~repro.runtime.cache.ArtifactCache` directory,
 and a client tier that lets one machine's grid answer from another
-machine's cache with the records provably unchanged.  Four pieces:
+machine's cache with the records provably unchanged.  Three pieces:
 
 - :mod:`~repro.store.service` — :class:`StoreService`: validated blob
   get/put/stat with SHA-256 wire integrity and a typed 400/404/413/503
-  error contract, shared by every transport;
+  error contract;
 - :mod:`~repro.store.server` — :class:`StoreDispatcher` (HTTP semantics
   sans sockets) plus the threaded transport with streamed bodies;
-- :mod:`~repro.store.async_server` — the same API from the serve
-  layer's single-thread selectors event loop;
 - :mod:`~repro.store.client` — :class:`StoreClient` (urllib wire
   client) and :class:`RemoteCacheTier`, the read-through/write-through
   peer :class:`~repro.runtime.TaskRuntime` wires in via ``store_url``.
@@ -22,7 +20,6 @@ machine's cache with the records provably unchanged.  Four pieces:
 ``--store URL`` on the experiment commands attaches the remote tier.
 """
 
-from .async_server import AsyncStoreServer, serve_store_async
 from .client import RemoteCacheTier, StoreClient
 from .server import BLOB_DIGEST_HEADER, StoreDispatcher, StoreHTTPServer, serve_store_http
 from .service import DEFAULT_MAX_BLOB_BYTES, StoreService, blob_digest
@@ -32,8 +29,6 @@ __all__ = [
     "StoreDispatcher",
     "StoreHTTPServer",
     "serve_store_http",
-    "AsyncStoreServer",
-    "serve_store_async",
     "StoreClient",
     "RemoteCacheTier",
     "blob_digest",

@@ -1,14 +1,12 @@
 """HTTP semantics and the threaded transport for the artifact store.
 
 :class:`StoreDispatcher` is the store's analogue of
-:class:`~repro.serve.router.RequestDispatcher`: route parsing, header
-handling, and the typed-error → status contract (400 validation or
-integrity mismatch, 404 unknown key/route, 413 oversize, 503 shut down)
-live here, sans sockets, so the threaded and event-loop transports
-cannot drift — the same request produces byte-identical status+body on
-both.
+:class:`~repro.serve.router.RequestDispatcher`: route parsing and the
+typed-error → status contract (400 validation or integrity mismatch,
+404 unknown key/route, 413 oversize, 503 shut down) live here, sans
+sockets.
 
-:class:`StoreHTTPServer` is the threaded transport
+:class:`StoreHTTPServer` is the transport
 (:class:`http.server.ThreadingHTTPServer`, mirroring
 :class:`~repro.serve.http.ServeHTTPServer`) with *streamed* artifact
 bodies: a PUT hashes chunks into a unique temp file and only installs on
@@ -61,12 +59,11 @@ StoreResponse = tuple[int, bytes, str, dict[str, str]]
 
 
 class StoreDispatcher:
-    """Store HTTP semantics shared by both transports.
+    """Store HTTP semantics for every bodiless request.
 
     Routes::
 
         GET/HEAD /artifacts/<key>   blob bytes + digest/size headers
-        PUT      /artifacts/<key>   verify X-Repro-Blob-SHA256, install
         GET      /stat[/<key>]      store totals / one entry's size+digest
         GET      /healthz           liveness + role
         GET      /metrics           counters and histograms (JSON)
@@ -100,16 +97,15 @@ class StoreDispatcher:
             return parts[2]
         return None
 
-    def handle(
-        self, method: str, path: str, body: bytes = b"", headers: dict[str, str] | None = None
-    ) -> StoreResponse:
-        """One fully-buffered request in, one rendered response out."""
-        lowered = {name.lower(): value for name, value in (headers or {}).items()}
+    def handle(self, method: str, path: str) -> StoreResponse:
+        """One bodiless request in, one rendered response out.
+
+        ``PUT /artifacts/<key>`` streams its body and is served by the
+        transport through :meth:`StoreService.put_stream` instead.
+        """
         try:
             if method in ("GET", "HEAD"):
                 return self._get(method, path)
-            if method == "PUT":
-                return self._put(path, body, lowered)
             return self.not_found(f"no route {method} {path!r}")
         except KeyError as error:
             return self.not_found(f"no artifact {error.args[0]!r} in this store")
@@ -134,19 +130,15 @@ class StoreDispatcher:
             return self.json_response(200, self.service.stat_key(parts[2]))
         return self.not_found(f"no route {path!r}")
 
-    def _put(self, path: str, body: bytes, headers: dict[str, str]) -> StoreResponse:
-        key = self.artifact_key(path)
-        if key is None:
-            return self.not_found(f"no route {path!r}")
-        result = self.service.put_blob(key, body, headers.get(BLOB_DIGEST_HEADER.lower()))
-        return self.json_response(200, result)
-
 
 class _Handler(BaseHTTPRequestHandler):
     """Socket plumbing; semantics live in the dispatcher/service."""
 
     server: "StoreHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate sends; with Nagle on, a
+    # keep-alive reply waits for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # /metrics covers observability; no per-request stderr lines

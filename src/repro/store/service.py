@@ -3,9 +3,7 @@
 :class:`StoreService` is everything the store does minus sockets: it
 owns an :class:`~repro.runtime.cache.ArtifactCache` directory, a
 :class:`~repro.serve.metrics.MetricsRegistry`, and the size/integrity
-rules every transport must enforce identically.  Both HTTP transports
-(threaded and event-loop) call into this one object, so a request is
-accepted or rejected by the same code whichever server received it.
+rules the transport enforces, so the HTTP server stays socket plumbing.
 
 Integrity contract: store keys are *task identities* (seed-path content
 addresses), not hashes of the stored bytes — so wire integrity rides a
@@ -156,10 +154,6 @@ class StoreService:
 
     # -- writes ------------------------------------------------------------
 
-    def put_blob(self, key: str, blob: bytes, claimed_sha256: str | None) -> dict[str, Any]:
-        """Verify-then-install one in-memory blob (the event-loop path)."""
-        return self.put_stream(key, (blob,), claimed_sha256, declared_length=len(blob))
-
     def put_stream(
         self,
         key: str,
@@ -235,11 +229,7 @@ class StoreService:
     def metrics(self) -> dict[str, Any]:
         return self.metrics_registry.snapshot()
 
-    # -- lifecycle (the transport-owner contract) --------------------------
-
-    def quiesce(self, timeout: float | None = None) -> bool:
-        """Nothing queues inside the service (writes are synchronous)."""
-        return True
+    # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         self._closed = True

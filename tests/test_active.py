@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from repro.active import (
     consensus_kl,
-    entropy_scores,
     least_confidence_scores,
-    margin_scores,
     random_oversample,
     sample_uniform,
     select_by_committee,
     select_least_confident,
-    smote,
     vote_entropy,
 )
 from repro.core.subspace import FeatureDomain
@@ -55,21 +52,6 @@ class TestConfidence:
         model = _FixedProbaModel(proba)
         picks = select_least_confident(model, np.zeros((3, 2)), 2)
         assert picks.tolist() == [1, 2]
-
-    def test_margin_scores(self):
-        proba = np.array([[0.5, 0.5, 0.0], [0.9, 0.05, 0.05]])
-        scores = margin_scores(_FixedProbaModel(proba), np.zeros((2, 1)))
-        assert scores[0] > scores[1]
-
-    def test_entropy_scores(self):
-        proba = np.array([[1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0]])
-        scores = entropy_scores(_FixedProbaModel(proba), np.zeros((2, 1)))
-        assert scores[0] == pytest.approx(np.log(3))
-        assert scores[1] == pytest.approx(0.0, abs=1e-6)
-
-    def test_margin_needs_two_classes(self):
-        with pytest.raises(ValidationError):
-            margin_scores(_FixedProbaModel(np.ones((2, 1))), np.zeros((2, 1)))
 
     def test_pool_size_validation(self):
         model = _FixedProbaModel(np.full((3, 2), 0.5))
@@ -147,34 +129,6 @@ class TestUpsampling:
         original = {tuple(row) for row in X}
         assert all(tuple(row) in original for row in X_up)
 
-    def test_smote_balances(self):
-        X, y = self._imbalanced()
-        X_up, y_up = smote(X, y, random_state=0)
-        _, counts = np.unique(y_up, return_counts=True)
-        assert counts[0] == counts[1] == 50
-
-    def test_smote_synthesizes_new_points(self):
-        X, y = self._imbalanced()
-        X_up, y_up = smote(X, y, random_state=0)
-        original = {tuple(row) for row in X}
-        synthetic = [row for row in X_up if tuple(row) not in original]
-        assert len(synthetic) > 0
-
-    def test_smote_interpolates_within_minority_hull(self):
-        X = np.vstack([np.zeros((20, 2)), np.ones((4, 2)) * 10])
-        y = np.array([0] * 20 + [1] * 4)
-        X_up, y_up = smote(X, y, k_neighbors=2, random_state=1)
-        minority = X_up[y_up == 1]
-        # All synthetic minority points stay exactly at (10, 10) since the
-        # class is a single point cloud with zero spread.
-        assert np.allclose(minority, 10.0)
-
-    def test_smote_singleton_class_duplicates(self):
-        X = np.vstack([np.zeros((5, 2)), [[3.0, 3.0]]])
-        y = np.array([0] * 5 + [1])
-        X_up, y_up = smote(X, y, random_state=2)
-        assert (y_up == 1).sum() == 5
-
     def test_balanced_input_unchanged_size(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(20, 2))
@@ -185,8 +139,6 @@ class TestUpsampling:
     def test_validation(self):
         with pytest.raises(ValidationError):
             random_oversample(np.zeros((3, 1)), np.zeros(4))
-        with pytest.raises(ValidationError):
-            smote(np.zeros((3, 1)), np.zeros(3), k_neighbors=0)
 
 
 @settings(max_examples=30, deadline=None)

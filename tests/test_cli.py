@@ -121,7 +121,8 @@ class TestStoreCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["store"])
         assert args.action == "serve"
-        assert args.transport == "threaded" and args.port == 8751
+        assert args.port == 8751
+        assert not hasattr(args, "transport")
         args = build_parser().parse_args(["store", "stat", "--url", "http://x:1"])
         assert args.action == "stat" and args.url == "http://x:1"
 

@@ -638,10 +638,10 @@ class TestRL007DeadExport:
                 def dead_helper():
                     return 2
                 """,
-                "tests/test_util.py": """
+                "benchmarks/bench_util.py": """
                 from repro.core.util import used_helper
 
-                assert used_helper() == 1
+                used_helper()
                 """,
             },
         )
@@ -694,12 +694,42 @@ class TestRL007DeadExport:
                 def maybe_used():
                     return 1
                 """,
-                "tests/test_star.py": """
+                "src/repro/cli.py": """
                 from repro.core.util import *
                 """,
             },
         )
         assert findings == []
+
+    def test_export_consumed_only_by_tests_is_dead(self, tmp_path):
+        """The default usage universe counts production consumers, not tests."""
+        self.write_tree(
+            tmp_path,
+            {
+                "src/repro/core/util.py": """
+                __all__ = ["tested_only", "benchmarked"]
+
+                def tested_only():
+                    return 1
+
+                def benchmarked():
+                    return 2
+                """,
+                "tests/test_util.py": """
+                from repro.core.util import benchmarked, tested_only
+
+                assert tested_only() == 1 and benchmarked() == 2
+                """,
+                "perfbench/run.py": """
+                from repro.core.util import benchmarked
+                """,
+            },
+        )
+        config = LintConfig(base_dir=tmp_path)
+        assert config.deadcode_roots == ["src", "benchmarks", "examples", "perfbench"]
+        findings = LintEngine(config).lint_project([tmp_path / "src"], root=tmp_path)
+        assert [f.rule_id for f in findings] == ["RL007"]
+        assert "'repro.core.util.tested_only'" in findings[0].message
 
     def test_allowlist_by_name_and_qualified_glob(self, tmp_path):
         files = {

@@ -17,8 +17,10 @@ observably the same service:
   typed error instead of holding its waiter until timeout.
 """
 
+import http.client
 import json
 import socket
+import statistics
 import threading
 
 import numpy as np
@@ -135,6 +137,15 @@ class TestErrorContract:
         payload = json.loads(body)
         assert payload["error"] == f"request body too large ({declared} bytes > {MAX_BODY_BYTES})"
 
+    @pytest.mark.parametrize("declared", ["abc", "-5"])
+    def test_invalid_content_length_is_400(self, server, declared):
+        request = (
+            f"POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: {declared}\r\n\r\n{{}}"
+        ).encode("latin-1")
+        status, body = _raw_exchange(server.url, request)
+        assert status == 400
+        assert json.loads(body) == {"error": "invalid Content-Length", "type": "ValidationError"}
+
     def test_mid_request_disconnect_leaves_server_healthy(self, server, scream_data):
         request = _post_bytes("/predict", json.dumps({"rows": scream_data.X[:1].tolist()}).encode())
         host, _, port = server.url.split("//", 1)[-1].partition(":")
@@ -236,6 +247,39 @@ class TestTransportEquivalence:
             assert threaded_counters[key] == async_counters[key], key
         assert threaded_counters["requests"] == len(requests)
         assert threaded_counters["points"] == 2 * len(requests)
+
+
+class TestKeepAliveLatency:
+    def test_back_to_back_requests_skip_the_delayed_ack(self, served_scream_registry, scream_data):
+        """Reply headers and body must not wait for the client's delayed ACK.
+
+        The threaded handler writes headers and body in two sends.  With
+        Nagle's algorithm on, the second send of every keep-alive reply
+        waits for the client to ACK the first, which Linux delays by at
+        least 40 ms.
+        """
+        service = ServeService.from_registry(
+            "scream",
+            directory=served_scream_registry.directory,
+            config=ServeConfig(max_batch=16, max_delay=0.0),
+        )
+        server = serve_http(service)
+        host, _, port = server.url.split("//", 1)[-1].partition(":")
+        body = json.dumps({"rows": scream_data.X[:1].tolist()})
+        connection = http.client.HTTPConnection(host, int(port), timeout=5.0)
+        elapsed = []
+        try:
+            for _ in range(10):
+                watch = Stopwatch()
+                connection.request("POST", "/predict", body, {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                elapsed.append(watch.elapsed())
+        finally:
+            connection.close()
+            server.close()
+        assert statistics.median(elapsed) < 0.035, elapsed
 
 
 class TestShutdownDrains:

@@ -1,17 +1,18 @@
 """Tier-1 gate: the shipped tree is reprolint-clean.
 
 Runs the full rule set programmatically over ``src/repro``,
-``benchmarks/`` *and* ``examples/`` with the real ``[tool.reprolint]``
+``benchmarks/``, ``examples/`` *and* ``perfbench/`` with the real ``[tool.reprolint]``
 configuration from ``pyproject.toml`` and asserts zero findings — the
 repo stays lint-clean without any external CI infrastructure.
 Benchmarks and examples adopted the RL001 rng-discipline contract (seeds
 or :func:`repro.rng.check_random_state`, never bare ``default_rng``),
 since a number produced outside the contract cannot back a claim.
 
-The project-wide pass (RL007 dead-export detection) scans source, tests,
-benchmarks, and examples together: an ``__all__`` export with no
-consumer anywhere in that set must be deleted or explicitly allowlisted
-under ``[tool.reprolint.deadcode]``.
+The project-wide pass (RL007 dead-export detection) scans source,
+benchmarks, examples and perfbench together: an ``__all__`` export with
+no consumer anywhere in that set must be deleted or explicitly
+allowlisted under ``[tool.reprolint.deadcode]``.  Tests are not in the
+set, so code that only tests reach counts as dead.
 """
 
 from pathlib import Path
@@ -27,9 +28,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = REPO_ROOT / "pyproject.toml"
 
 #: Every tree the per-file rules gate.
-LINTED_TREES = ("src/repro", "benchmarks", "examples")
+LINTED_TREES = ("src/repro", "benchmarks", "examples", "perfbench")
 #: The RL007 usage universe: exports must be consumed somewhere in here.
-PROJECT_SCAN_TREES = ("src/repro", "tests", "benchmarks", "examples")
+PROJECT_SCAN_TREES = ("src/repro", "benchmarks", "examples", "perfbench")
 
 
 class TestLintClean:
@@ -51,8 +52,14 @@ class TestLintClean:
         findings = engine.lint_paths([REPO_ROOT / "examples"], root=REPO_ROOT)
         assert findings == [], "\n".join(f.render() for f in findings)
 
+    def test_perfbench_tree_has_zero_findings(self):
+        config = load_config(PYPROJECT)
+        engine = LintEngine(config)
+        findings = engine.lint_paths([REPO_ROOT / "perfbench"], root=REPO_ROOT)
+        assert findings == [], "\n".join(f.render() for f in findings)
+
     def test_project_scan_has_zero_findings(self):
-        """RL007: no dead exports anywhere in the src+tests+benchmarks+examples set."""
+        """RL007: no dead exports anywhere in the src+benchmarks+examples+perfbench set."""
         config = load_config(PYPROJECT)
         engine = LintEngine(config)
         findings = engine.lint_project(

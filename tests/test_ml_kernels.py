@@ -16,10 +16,9 @@ from repro.ml import (
     GradientBoostingClassifier,
     RandomForestClassifier,
     TreeBank,
-    per_member_fallback,
+    softmax,
 )
 from repro.ml.forest import _MAX_BOOTSTRAP_REDRAWS, _bootstrap_sample
-from repro.ml.kernels import bank_enabled
 from repro.ml.tree import DecisionTreeClassifier, _apply_tree
 
 
@@ -99,16 +98,6 @@ class TestForestKernel:
         assert any(tree.classes_.size < model.n_classes_ for tree in model.estimators_)
         assert np.array_equal(model.predict_proba(X), model._predict_proba_per_member(X))
 
-    def test_fallback_context_routes_and_restores(self):
-        X, y = _dataset(seed=4)
-        model = RandomForestClassifier(n_estimators=6, random_state=4).fit(X, y)
-        fast = model.predict_proba(X)
-        assert bank_enabled()
-        with per_member_fallback():
-            assert not bank_enabled()
-            assert np.array_equal(model.predict_proba(X), fast)
-        assert bank_enabled()
-
     def test_pickle_drops_bank_and_predicts_identically(self):
         X, y = _dataset(seed=5)
         model = RandomForestClassifier(n_estimators=6, random_state=5).fit(X, y)
@@ -152,8 +141,7 @@ class TestBoostingKernel:
         assert np.array_equal(
             model.decision_function(X_test), model._decision_function_per_member(X_test)
         )
-        with per_member_fallback():
-            slow = model.predict_proba(X_test)
+        slow = softmax(model._decision_function_per_member(X_test))
         assert np.array_equal(model.predict_proba(X_test), slow)
 
     def test_pickle_drops_bank_and_predicts_identically(self):

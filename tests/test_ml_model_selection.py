@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.ml.model_selection import (
-    KFold,
-    StratifiedKFold,
-    cross_val_score,
-    partition_evenly,
-    stratified_split_indices,
-    train_test_split,
-)
-from repro.ml.naive_bayes import GaussianNB
+from repro.ml.model_selection import partition_evenly, stratified_split_indices, train_test_split
 
 
 class TestTrainTestSplit:
@@ -73,50 +65,6 @@ class TestPartitionEvenly:
     def test_too_many_groups(self):
         with pytest.raises(ValidationError):
             partition_evenly(3, 5, rng=np.random.default_rng(0))
-
-
-class TestKFold:
-    def test_folds_partition_data(self):
-        X = np.zeros((30, 1))
-        seen = []
-        for train_idx, test_idx in KFold(3, random_state=0).split(X):
-            assert np.intersect1d(train_idx, test_idx).size == 0
-            seen.append(test_idx)
-        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(30))
-
-    def test_min_splits(self):
-        with pytest.raises(ValidationError):
-            KFold(1)
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValidationError):
-            list(KFold(5).split(np.zeros((3, 1))))
-
-
-class TestStratifiedKFold:
-    def test_class_ratio_per_fold(self):
-        y = np.array([0] * 60 + [1] * 30)
-        X = np.zeros((90, 1))
-        for _, test_idx in StratifiedKFold(3, random_state=0).split(X, y):
-            assert np.mean(y[test_idx]) == pytest.approx(1 / 3, abs=0.1)
-
-    def test_rare_class_rejected(self):
-        y = np.array([0] * 10 + [1])
-        with pytest.raises(ValidationError, match="fewer than"):
-            list(StratifiedKFold(3).split(np.zeros((11, 1)), y))
-
-
-class TestCrossValScore:
-    def test_scores_reasonable_on_blobs(self, blobs_2class):
-        X, y = blobs_2class
-        scores = cross_val_score(GaussianNB(), X, y)
-        assert scores.shape == (3,)
-        assert scores.mean() > 0.9
-
-    def test_custom_scorer(self, blobs_2class):
-        X, y = blobs_2class
-        scores = cross_val_score(GaussianNB(), X, y, scorer=lambda t, p: 0.123)
-        assert np.allclose(scores, 0.123)
 
 
 class TestStratifiedSplitIndices:

@@ -14,7 +14,6 @@ from repro.ml import (
     GradientBoostingClassifier,
     KNeighborsClassifier,
     LogisticRegression,
-    MultinomialNB,
     RandomForestClassifier,
     clone,
 )
@@ -179,22 +178,6 @@ class TestNaiveBayesSpecifics:
         y = np.array([0] * 30 + [1] * 10)
         model = GaussianNB().fit(X, y)
         assert model.class_prior_[0] == pytest.approx(0.75)
-
-    def test_multinomial_requires_nonnegative(self):
-        with pytest.raises(ValidationError):
-            MultinomialNB().fit(np.array([[-1.0, 2.0], [1.0, 2.0]]), [0, 1])
-
-    def test_multinomial_counts(self):
-        # Class 0 heavy on feature 0, class 1 heavy on feature 1.
-        X = np.array([[9.0, 1.0], [8.0, 2.0], [1.0, 9.0], [2.0, 8.0]])
-        y = np.array([0, 0, 1, 1])
-        model = MultinomialNB().fit(X, y)
-        assert model.predict([[10.0, 0.0]])[0] == 0
-        assert model.predict([[0.0, 10.0]])[0] == 1
-
-    def test_multinomial_alpha_validated(self):
-        with pytest.raises(ValidationError):
-            MultinomialNB(alpha=0.0)
 
 
 class TestKnnSpecifics:

@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import NotFittedError, ValidationError
-from repro.ml.preprocessing import (
-    IdentityTransformer,
-    LabelEncoder,
-    MinMaxScaler,
-    OneHotEncoder,
-    SimpleImputer,
-    StandardScaler,
-)
+from repro.ml.preprocessing import IdentityTransformer, MinMaxScaler, StandardScaler
 
 
 class TestStandardScaler:
@@ -63,78 +56,6 @@ class TestMinMaxScaler:
     def test_out_of_range_test_data(self):
         scaler = MinMaxScaler().fit(np.arange(10.0).reshape(-1, 1))
         assert scaler.transform([[18.0]])[0, 0] == pytest.approx(2.0)
-
-
-class TestSimpleImputer:
-    def test_mean_fill(self):
-        X = np.array([[1.0, np.nan], [3.0, 4.0]])
-        Z = SimpleImputer(strategy="mean").fit_transform(X)
-        assert Z[0, 1] == pytest.approx(4.0)
-
-    def test_median_fill(self):
-        X = np.array([[1.0], [np.nan], [100.0], [2.0]])
-        Z = SimpleImputer(strategy="median").fit_transform(X)
-        assert Z[1, 0] == pytest.approx(2.0)
-
-    def test_all_nan_column_fills_zero(self):
-        X = np.array([[np.nan], [np.nan]])
-        Z = SimpleImputer().fit_transform(X)
-        assert np.allclose(Z, 0.0)
-
-    def test_does_not_mutate_input(self):
-        X = np.array([[np.nan, 1.0]])
-        imputer = SimpleImputer().fit(X)
-        imputer.transform(X)
-        assert np.isnan(X[0, 0])
-
-    def test_invalid_strategy(self):
-        with pytest.raises(ValidationError):
-            SimpleImputer(strategy="mode")
-
-
-class TestOneHotEncoder:
-    def test_expands_selected_column(self):
-        X = np.array([[0.0, 1.5], [1.0, 2.5], [2.0, 3.5]])
-        Z = OneHotEncoder(columns=(0,)).fit_transform(X)
-        assert Z.shape == (3, 4)
-        assert Z[:, :3].sum(axis=1).tolist() == [1.0, 1.0, 1.0]
-        assert np.allclose(Z[:, 3], X[:, 1])
-
-    def test_unseen_category_maps_to_zeros(self):
-        encoder = OneHotEncoder(columns=(0,)).fit(np.array([[0.0], [1.0]]))
-        Z = encoder.transform(np.array([[9.0]]))
-        assert np.allclose(Z, 0.0)
-
-    def test_out_of_range_column(self):
-        with pytest.raises(ValidationError):
-            OneHotEncoder(columns=(5,)).fit(np.ones((3, 2)))
-
-    def test_no_columns_is_identity(self):
-        X = np.arange(6.0).reshape(3, 2)
-        assert np.allclose(OneHotEncoder().fit_transform(X), X)
-
-
-class TestLabelEncoder:
-    def test_roundtrip(self):
-        y = np.array(["b", "a", "c", "a"])
-        encoder = LabelEncoder().fit(y)
-        encoded = encoder.transform(y)
-        assert encoded.tolist() == [1, 0, 2, 0]
-        assert encoder.inverse_transform(encoded).tolist() == y.tolist()
-
-    def test_unseen_label_rejected(self):
-        encoder = LabelEncoder().fit(["a", "b"])
-        with pytest.raises(ValidationError, match="not seen"):
-            encoder.transform(["z"])
-
-    def test_out_of_range_inverse(self):
-        encoder = LabelEncoder().fit(["a", "b"])
-        with pytest.raises(ValidationError):
-            encoder.inverse_transform([5])
-
-    def test_2d_rejected(self):
-        with pytest.raises(ValidationError):
-            LabelEncoder().fit([["a"], ["b"]])
 
 
 class TestIdentity:

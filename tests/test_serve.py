@@ -12,7 +12,10 @@ the service in-process, send Table-1-style points, and check that
   status-code contract (400/503/504).
 """
 
+import json
 import threading
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -24,7 +27,6 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.serve import (
-    HttpClient,
     InProcessClient,
     InferenceEngine,
     LabelingQueue,
@@ -282,6 +284,13 @@ class TestMetricsRegistry:
         assert snapshot["histograms"]["b"]["count"] == 1
 
 
+def _http(url: str, payload: dict | None = None) -> dict:
+    """GET ``url`` (or POST ``payload`` as JSON) and decode the JSON reply."""
+    data = None if payload is None else json.dumps(payload).encode("utf-8")
+    with urllib.request.urlopen(urllib.request.Request(url, data=data), timeout=30.0) as response:
+        return json.loads(response.read())
+
+
 class TestHttpTransport:
     @pytest.fixture()
     def server(self, registry):
@@ -293,28 +302,24 @@ class TestHttpTransport:
         server.close()
 
     def test_all_four_endpoints(self, server, fitted_automl, scream_data):
-        client = HttpClient(server.url)
-        health = client.healthz()
+        health = _http(server.url + "/healthz")
         assert health["status"] == "ok" and health["model"] == "scream"
         points = scream_data.X[:5]
-        response = client.predict(points.tolist())
+        response = _http(server.url + "/predict", {"rows": points.tolist()})
         assert response["labels"] == fitted_automl.predict(points).tolist()
         np.testing.assert_array_equal(
             np.asarray(response["proba"]), fitted_automl.predict_proba(points)
         )
-        metrics = client.metrics()
+        metrics = _http(server.url + "/metrics")
         assert metrics["counters"]["requests"] >= 1
-        feedback = client.feedback(limit=10)
+        feedback = _http(server.url + "/feedback", {"limit": 10})
         assert "candidates" in feedback and "queue" in feedback
 
     def test_error_contract(self, server):
-        client = HttpClient(server.url)
-        with pytest.raises(ValidationError):  # 400: malformed request
-            client.predict([[1.0]])
-        import json
-        import urllib.error
-        import urllib.request
-
+        with pytest.raises(urllib.error.HTTPError) as excinfo:  # 400: malformed request
+            _http(server.url + "/predict", {"rows": [[1.0]]})
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["type"] == "ValidationError"
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(server.url + "/nope")
         assert excinfo.value.code == 404
