@@ -64,7 +64,7 @@ def bench_equivalence(registry_dir: str, X, n_requests: int, seed: int) -> dict:
     replies: dict[str, list[tuple[int, bytes]]] = {}
     for transport in TRANSPORTS:
         service, server = _serve(
-            transport, registry_dir, ServeConfig(max_batch=16, max_delay=0.002)
+            transport, registry_dir, ServeConfig(max_batch=16)
         )
         try:
             target = HttpTarget(server.url)
@@ -87,7 +87,7 @@ def bench_equivalence(registry_dir: str, X, n_requests: int, seed: int) -> dict:
 
 def bench_overload(registry_dir: str, X, seed: int) -> dict:
     """Retry storm + flash crowd into a tiny queue: shed loudly, drop nothing."""
-    config = ServeConfig(max_batch=2, max_delay=0.005, queue_bound=2, request_timeout=2.0)
+    config = ServeConfig(max_batch=2, queue_bound=2, request_timeout=2.0)
     out: dict[str, dict] = {}
 
     service, server = _serve("async", registry_dir, config)
@@ -129,7 +129,7 @@ def bench_churn_duel(registry_dir: str, X, n_requests: int, clients: int, seed: 
         clients=clients,
         new_connection_per_request=True,
     )
-    config = ServeConfig(max_batch=16, max_delay=0.002)
+    config = ServeConfig(max_batch=16)
     duel: dict[str, dict] = {}
     for transport in TRANSPORTS:
         throughputs, p99s = [], []

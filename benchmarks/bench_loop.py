@@ -74,7 +74,7 @@ def bench_trigger_to_promotion(workdir: Path, args) -> tuple[dict, RetrainContro
     serve = ServeService.from_registry(
         "bench",
         directory=registry.directory,
-        config=ServeConfig(max_batch=16, max_delay=0.0, disagreement_threshold=0.15),
+        config=ServeConfig(max_batch=16, disagreement_threshold=0.15),
     )
     config = LoopConfig(
         min_queue_depth=8,
@@ -193,7 +193,7 @@ def bench_shadow_overhead(args) -> dict:
         pace = threading.Event()  # .wait(t) = sleep without touching the clock
 
         def drive(attach: bool) -> dict:
-            config = ServeConfig(max_batch=16, max_delay=0.0, queue_bound=1024)
+            config = ServeConfig(max_batch=16, queue_bound=1024)
             traffic = check_random_state(args.seed + 3)
             with ServeService(bundle, config) as service:
                 if attach:

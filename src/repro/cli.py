@@ -386,7 +386,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServeConfig(
         max_batch=args.max_batch,
-        max_delay=args.max_delay,
         queue_bound=args.queue_bound,
         request_timeout=args.request_timeout,
     )
@@ -431,7 +430,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
     config = ServeConfig(
         max_batch=args.max_batch,
-        max_delay=args.max_delay,
         queue_bound=args.queue_bound,
         request_timeout=args.request_timeout,
     )
@@ -592,8 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--version", type=int, default=None, help="serve a specific version (default: promoted)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8750)
-    serve.add_argument("--max-batch", type=int, default=32, help="micro-batch flush size (rows)")
-    serve.add_argument("--max-delay", type=float, default=0.01, help="micro-batch flush deadline (seconds)")
+    serve.add_argument("--max-batch", type=int, default=32, help="largest micro-batch (rows)")
     serve.add_argument("--queue-bound", type=int, default=256, help="pending requests before shedding")
     serve.add_argument("--request-timeout", type=float, default=10.0, help="per-request reply timeout (seconds)")
     serve.set_defaults(handler=_cmd_serve)
@@ -620,8 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--clients", type=int, default=4, help="driver worker threads / closed-loop population")
     loadtest.add_argument("--rows", type=int, default=1, help="rows per request")
     loadtest.add_argument("--seed", type=int, default=0, help="workload seed (schedule, rows, aborts)")
-    loadtest.add_argument("--max-batch", type=int, default=32, help="micro-batch flush size (rows)")
-    loadtest.add_argument("--max-delay", type=float, default=0.005, help="micro-batch flush deadline (seconds)")
+    loadtest.add_argument("--max-batch", type=int, default=32, help="largest micro-batch (rows)")
     loadtest.add_argument("--queue-bound", type=int, default=256, help="pending requests before shedding")
     loadtest.add_argument("--request-timeout", type=float, default=5.0, help="per-request reply timeout (seconds)")
     loadtest.set_defaults(handler=_cmd_loadtest)

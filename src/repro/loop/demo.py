@@ -80,7 +80,7 @@ def run_demo(
     serve = ServeService.from_registry(
         "demo",
         directory=directory / "registry",
-        config=ServeConfig(max_batch=16, max_delay=0.0, disagreement_threshold=0.15),
+        config=ServeConfig(max_batch=16, disagreement_threshold=0.15),
         persist_labels=True,
     )
 

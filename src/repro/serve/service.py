@@ -26,6 +26,7 @@ counters and histograms survive swaps.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Any
 
@@ -100,15 +101,7 @@ class ServeService:
         if persist_labels and (config is None or config.labeling_snapshot is None):
             snapshot = str(registry.directory / "labeling" / f"{name}.jsonl")
             base = config if config is not None else ServeConfig()
-            config = ServeConfig(
-                max_batch=base.max_batch,
-                max_delay=base.max_delay,
-                queue_bound=base.queue_bound,
-                request_timeout=base.request_timeout,
-                disagreement_threshold=base.disagreement_threshold,
-                labeling_queue_capacity=base.labeling_queue_capacity,
-                labeling_snapshot=snapshot,
-            )
+            config = dataclasses.replace(base, labeling_snapshot=snapshot)
         return cls(bundle, config, version=resolved, registry=registry)
 
     # -- hot swap ----------------------------------------------------------

@@ -7,12 +7,33 @@ read-only.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.automl import AutoMLClassifier
 from repro.core import FeatureDomain
 from repro.datasets import generate_firewall_dataset, generate_scream_dataset
+from repro.runtime.clock import Deadline
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a thread running after it returns.
+
+    An unclosed engine, server, mirror, push worker or process pool shows
+    up here.  Threads the test started get 2 s in total to exit.
+    """
+    before = set(threading.enumerate())
+    yield
+    deadline = Deadline(2.0)
+    started = [thread for thread in threading.enumerate() if thread not in before]
+    for thread in started:
+        thread.join(deadline.remaining())
+    alive = sorted(thread.name for thread in started if thread.is_alive())
+    if alive:
+        pytest.fail(f"test left {len(alive)} thread(s) running: {', '.join(alive)}")
 
 
 @pytest.fixture(scope="session")

@@ -91,7 +91,7 @@ def async_server(served_scream_registry):
     service = ServeService.from_registry(
         "scream",
         directory=served_scream_registry.directory,
-        config=ServeConfig(max_batch=16, max_delay=0.005),
+        config=ServeConfig(max_batch=16),
     )
     server = serve_async_http(service)
     yield server
@@ -228,7 +228,7 @@ class TestAsyncRobustness:
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
-            config=ServeConfig(max_batch=8, max_delay=0.0),
+            config=ServeConfig(max_batch=8),
         )
         server = serve_async_http(service, idle_timeout=0.2)
         try:
@@ -247,7 +247,7 @@ class TestAsyncTimeoutsAndDrain:
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
-            config=ServeConfig(max_batch=1, max_delay=0.0, request_timeout=0.2),
+            config=ServeConfig(max_batch=1, request_timeout=0.2),
         )
         release = threading.Event()
         original = service.bundle.automl.predict_batch
@@ -278,7 +278,7 @@ class TestAsyncTimeoutsAndDrain:
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
-            config=ServeConfig(max_batch=1, max_delay=0.0, request_timeout=10.0),
+            config=ServeConfig(max_batch=1, request_timeout=10.0),
         )
         gate = threading.Event()
         entered = threading.Event()

@@ -50,6 +50,14 @@ class TestParser:
             _runtime_from_args(args)
 
 
+    @pytest.mark.parametrize("command", ["serve", "loadtest"])
+    def test_batcher_has_no_flush_delay_flag(self, command, capsys):
+        build_parser().parse_args([command, "scream"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "scream", "--max-delay", "0.01"])
+        assert "--max-delay" in capsys.readouterr().err
+
+
 class TestExecution:
     def test_emulate_runs(self, capsys):
         code = main(

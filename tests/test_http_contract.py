@@ -81,7 +81,7 @@ def server(transport, served_scream_registry):
     service = ServeService.from_registry(
         "scream",
         directory=served_scream_registry.directory,
-        config=ServeConfig(max_batch=16, max_delay=0.005),
+        config=ServeConfig(max_batch=16),
     )
     server = _start_server(transport, service)
     yield server
@@ -163,7 +163,7 @@ class TestOverloadContract:
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
-            config=ServeConfig(max_batch=1, max_delay=0.0, queue_bound=1, request_timeout=0.4),
+            config=ServeConfig(max_batch=1, queue_bound=1, request_timeout=0.4),
         )
         gate = threading.Event()
         entered = threading.Event()
@@ -218,7 +218,7 @@ class TestTransportEquivalence:
         self, served_scream_registry, scream_data
     ):
         """Same requests, two transports → byte-identical (status, body) pairs."""
-        config = ServeConfig(max_batch=16, max_delay=0.005)
+        config = ServeConfig(max_batch=16)
         rng = check_random_state(42)
         starts = rng.integers(0, scream_data.X.shape[0] - 2, size=30)
         requests = [scream_data.X[start : start + 2].tolist() for start in starts]
@@ -261,7 +261,7 @@ class TestKeepAliveLatency:
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
-            config=ServeConfig(max_batch=16, max_delay=0.0),
+            config=ServeConfig(max_batch=16),
         )
         server = serve_http(service)
         host, _, port = server.url.split("//", 1)[-1].partition(":")
@@ -290,7 +290,7 @@ class TestShutdownDrains:
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
-            config=ServeConfig(max_batch=1, max_delay=0.0, request_timeout=10.0),
+            config=ServeConfig(max_batch=1, request_timeout=10.0),
         )
         gate = threading.Event()
         entered = threading.Event()
@@ -340,7 +340,7 @@ class TestShutdownDrains:
         with :class:`ServeError`, completion callbacks included.
         """
         bundle = served_scream_registry.load("scream")
-        engine = InferenceEngine(bundle, ServeConfig(max_batch=1, max_delay=0.0))
+        engine = InferenceEngine(bundle, ServeConfig(max_batch=1))
         gate = threading.Event()
         entered = threading.Event()
         original = bundle.automl.predict_batch

@@ -304,7 +304,7 @@ class TestInProcessTarget:
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
-            config=ServeConfig(max_batch=16, max_delay=0.0),
+            config=ServeConfig(max_batch=16),
         )
         with service:
             target = InProcessTarget(service)
@@ -319,7 +319,7 @@ class TestSocketLoad:
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
-            config=ServeConfig(max_batch=16, max_delay=0.005),
+            config=ServeConfig(max_batch=16),
         )
         server = serve_async_http(service)
         try:
@@ -337,7 +337,7 @@ class TestSocketLoad:
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
-            config=ServeConfig(max_batch=2, max_delay=0.02, queue_bound=2, request_timeout=2.0),
+            config=ServeConfig(max_batch=2, queue_bound=2, request_timeout=2.0),
         )
         server = serve_async_http(service)
         try:
@@ -354,7 +354,7 @@ class TestSocketLoad:
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
-            config=ServeConfig(max_batch=16, max_delay=0.005),
+            config=ServeConfig(max_batch=16),
         )
         server = serve_async_http(service)
         try:
@@ -375,7 +375,7 @@ class TestSocketLoad:
             service = ServeService.from_registry(
                 "scream",
                 directory=served_scream_registry.directory,
-                config=ServeConfig(max_batch=16, max_delay=0.005),
+                config=ServeConfig(max_batch=16),
             )
             server = start_server(service)
             try:

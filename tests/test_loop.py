@@ -71,7 +71,7 @@ def _make_service(tmp_path, incumbent, base_data, *, config=None):
         directory=registry.directory,
         config=config
         if config is not None
-        else ServeConfig(max_batch=16, max_delay=0.0, disagreement_threshold=0.15),
+        else ServeConfig(max_batch=16, disagreement_threshold=0.15),
     )
     return registry, serve
 

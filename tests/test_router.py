@@ -141,7 +141,7 @@ class TestRouterFromRegistry:
         try:
             router = ModelRouter.from_registry(
                 directory=canary_registry.directory,
-                config=ServeConfig(max_batch=8, max_delay=0.0),
+                config=ServeConfig(max_batch=8),
             )
             try:
                 assert router.names() == ["m"]
@@ -158,7 +158,7 @@ class TestRouterFromRegistry:
         router = ModelRouter.from_registry(
             ["m"],
             directory=canary_registry.directory,
-            config=ServeConfig(max_batch=8, max_delay=0.0),
+            config=ServeConfig(max_batch=8),
         )
         with router:
             assert {router.pick("m").version for _ in range(5)} == {2}
@@ -170,7 +170,7 @@ class TestRouterFromRegistry:
         try:
             with ModelRouter.from_registry(
                 directory=canary_registry.directory,
-                config=ServeConfig(max_batch=8, max_delay=0.0),
+                config=ServeConfig(max_batch=8),
             ) as router:
                 dispatcher = RequestDispatcher(router)
                 rows = scream_data.X[:3].tolist()
@@ -241,7 +241,7 @@ class TestRequestDispatcher:
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
-            config=ServeConfig(max_batch=8, max_delay=0.0),
+            config=ServeConfig(max_batch=8),
         )
         with service:
             dispatcher = RequestDispatcher(service)

@@ -37,6 +37,7 @@ from repro.serve import (
     committee_disagreement,
     serve_http,
 )
+from repro.runtime.clock import Stopwatch
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ def registry(registry_dir, fitted_automl, scream_data):
 @pytest.fixture()
 def service(registry):
     service = ServeService.from_registry(
-        "scream", directory=registry.directory, config=ServeConfig(max_batch=16, max_delay=0.005)
+        "scream", directory=registry.directory, config=ServeConfig(max_batch=16)
     )
     yield service
     service.close()
@@ -193,7 +194,7 @@ class TestEngineBehavior:
 
     def test_backpressure_sheds_with_typed_error(self, registry, scream_data):
         bundle = registry.load("scream")
-        engine = InferenceEngine(bundle, ServeConfig(queue_bound=1, max_batch=1, max_delay=0.0))
+        engine = InferenceEngine(bundle, ServeConfig(queue_bound=1, max_batch=1))
         # Wedge the batcher with a slow fake so the queue backs up.
         release = threading.Event()
         original = bundle.automl.predict_batch
@@ -223,7 +224,7 @@ class TestEngineBehavior:
 
     def test_request_timeout(self, registry, scream_data):
         bundle = registry.load("scream")
-        engine = InferenceEngine(bundle, ServeConfig(max_batch=1, max_delay=0.0))
+        engine = InferenceEngine(bundle, ServeConfig(max_batch=1))
         original = bundle.automl.predict_batch
         release = threading.Event()
 
@@ -241,9 +242,51 @@ class TestEngineBehavior:
             engine.bundle.automl.predict_batch = original
             engine.close()
 
+    def test_lone_request_is_served_without_waiting_for_company(self, registry, scream_data):
+        bundle = registry.load("scream")
+        with InferenceEngine(bundle) as engine:
+            engine.predict(scream_data.X[:1])  # warm-up
+            seconds = []
+            for index in range(20):
+                watch = Stopwatch()
+                engine.predict(scream_data.X[index : index + 1])
+                seconds.append(watch.elapsed())
+        assert np.median(seconds) < 0.005, f"median lone-request latency {np.median(seconds) * 1e3:.2f} ms"
+
+    @pytest.mark.parametrize("max_batch, sizes", [(8, [1, 5]), (2, [1, 2, 2, 1])])
+    def test_batch_takes_what_queued_while_the_batcher_was_busy(
+        self, registry, scream_data, max_batch, sizes
+    ):
+        bundle = registry.load("scream")
+        engine = InferenceEngine(bundle, ServeConfig(max_batch=max_batch))
+        original = bundle.automl.predict_batch
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def recording_predict_batch(X):
+            seen.append(X.shape[0])
+            if len(seen) == 1:
+                entered.set()
+                release.wait(5.0)
+            return original(X)
+
+        engine.bundle.automl.predict_batch = recording_predict_batch
+        try:
+            requests = [engine.submit(scream_data.X[:1])]
+            assert entered.wait(5.0)  # the batcher is busy with the first request
+            requests += [engine.submit(scream_data.X[index : index + 1]) for index in range(1, 6)]
+            release.set()
+            for pending in requests:
+                assert pending.event.wait(5.0) and pending.error is None
+            assert seen == sizes
+        finally:
+            release.set()
+            engine.bundle.automl.predict_batch = original
+            engine.close()
+
     def test_model_error_propagates_to_waiter(self, registry, scream_data):
         bundle = registry.load("scream")
-        engine = InferenceEngine(bundle, ServeConfig(max_batch=4, max_delay=0.0))
+        engine = InferenceEngine(bundle, ServeConfig(max_batch=4))
         original = bundle.automl.predict_batch
 
         def boom(X):
@@ -295,7 +338,7 @@ class TestHttpTransport:
     @pytest.fixture()
     def server(self, registry):
         service = ServeService.from_registry(
-            "scream", directory=registry.directory, config=ServeConfig(max_batch=16, max_delay=0.005)
+            "scream", directory=registry.directory, config=ServeConfig(max_batch=16)
         )
         server = serve_http(service)  # port 0: OS-assigned
         yield server
@@ -412,7 +455,7 @@ class TestLabelingQueueDurability:
         assert queue.stats()["persisted"] == 0
 
     def test_service_persist_labels_survives_restart(self, registry, scream_data):
-        config = ServeConfig(max_batch=8, max_delay=0.0, disagreement_threshold=0.0)
+        config = ServeConfig(max_batch=8, disagreement_threshold=0.0)
         with ServeService.from_registry(
             "scream", directory=registry.directory, config=config, persist_labels=True
         ) as service:

@@ -36,7 +36,7 @@ def bundle(tmp_path_factory, fitted_automl, scream_data):
 
 class TestParallelClients:
     def test_no_drops_no_duplicates_and_deterministic(self, bundle, fitted_automl, scream_data):
-        service = ServeService(bundle, ServeConfig(max_batch=8, max_delay=0.002, queue_bound=512))
+        service = ServeService(bundle, ServeConfig(max_batch=8, queue_bound=512))
         client = InProcessClient(service)
         X = scream_data.X
         offline_labels = fitted_automl.predict(X)
@@ -85,7 +85,7 @@ class TestParallelClients:
             )
 
     def test_metrics_reconcile_with_ground_truth(self, bundle, scream_data):
-        service = ServeService(bundle, ServeConfig(max_batch=8, max_delay=0.002, queue_bound=512))
+        service = ServeService(bundle, ServeConfig(max_batch=8, queue_bound=512))
         client = InProcessClient(service)
         X = scream_data.X
         sent_requests = 0
@@ -121,7 +121,7 @@ class TestParallelClients:
         assert histograms["batch_size"]["count"] == counters["batches"]
 
     def test_overload_sheds_at_configured_bound(self, bundle, scream_data):
-        config = ServeConfig(max_batch=1, max_delay=0.0, queue_bound=2, request_timeout=30.0)
+        config = ServeConfig(max_batch=1, queue_bound=2, request_timeout=30.0)
         engine = InferenceEngine(bundle, config)
         gate = threading.Event()
         original = bundle.automl.predict_batch
@@ -194,7 +194,7 @@ class TestHotSwapUnderLoad:
         service = ServeService.from_registry(
             "swap",
             directory=registry.directory,
-            config=ServeConfig(max_batch=8, max_delay=0.002, queue_bound=512, request_timeout=30.0),
+            config=ServeConfig(max_batch=8, queue_bound=512, request_timeout=30.0),
         )
         offline = {1: automl_v1.predict(X), 2: automl_v2.predict(X)}
 
@@ -252,7 +252,7 @@ class TestShadowDoesNotChangeServedBytes:
         from repro.serve import ShadowMirror
 
         X = scream_data.X
-        config = ServeConfig(max_batch=8, max_delay=0.002, queue_bound=512)
+        config = ServeConfig(max_batch=8, queue_bound=512)
 
         def serve_all(attach_mirror: bool):
             service = ServeService(bundle, config)
