@@ -84,6 +84,15 @@ class TestTaskDeterminism:
         with pytest.raises(TaskTimeoutError):
             ProcessExecutor(max_workers=1).run([task], timeout=0.3)
 
+    def test_process_timeouts_are_recorded_when_errors_do_not_propagate(self):
+        tasks = [
+            Task(fn_name="probe.sleep", payload={"seconds": 30.0}, label=f"sleeper-{index}")
+            for index in range(2)
+        ]
+        outcomes = ProcessExecutor(max_workers=2).run(tasks, timeout=0.3, propagate_errors=False)
+        assert [type(outcome.error) for outcome in outcomes] == [TaskTimeoutError] * 2
+        assert [outcome.value for outcome in outcomes] == [None, None]
+
     def test_serial_timeout_detected_after_the_fact(self):
         task = Task(fn_name="probe.sleep", payload={"seconds": 0.4})
         with pytest.raises(TaskTimeoutError):
