@@ -8,7 +8,10 @@ Two engines over the same scenario/protocol abstractions:
   magnitude faster; used for dataset generation).
 
 Protocols: SCReAM, Cubic, Reno, Vegas, and a BBR-like controller, all
-implemented from scratch in :mod:`repro.netsim.cc`.
+implemented from scratch in :mod:`repro.netsim.cc`.  Each protocol module
+holds both views of its control law: the per-sender controller the packet
+engine drives per ACK and loss, and the fluid law that advances all flows
+of a fluid run by one time step.
 """
 
 from .cc import BBR, PROTOCOLS, CongestionControl, Cubic, Reno, Scream, Vegas, make_protocol

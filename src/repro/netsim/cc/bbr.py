@@ -12,11 +12,15 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import MIN_RATE_PPS, CongestionControl
+from .base import MIN_RATE_PPS, CongestionControl, FluidFlows
 
 __all__ = ["BBR"]
 
 _GAIN_CYCLE = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+_STARTUP_GROWTH = 1.25  # startup ends after _STARTUP_ROUNDS rounds below this growth
+_STARTUP_ROUNDS = 3
+_RAMP = 1.05  # per-update rate growth before any bandwidth sample
+_LOSS_BETA = 0.95  # BBRv1's mild reaction to a loss event
 
 
 class BBR(CongestionControl):
@@ -54,12 +58,12 @@ class BBR(CongestionControl):
 
     def _check_startup_exit(self) -> None:
         """Leave startup once the bandwidth estimate plateaus (<25% growth)."""
-        if self.btl_bw > self._full_bw * 1.25:
+        if self.btl_bw > self._full_bw * _STARTUP_GROWTH:
             self._full_bw = self.btl_bw
             self._full_bw_rounds = 0
         else:
             self._full_bw_rounds += 1
-            if self._full_bw_rounds >= 3:
+            if self._full_bw_rounds >= _STARTUP_ROUNDS:
                 self._in_startup = False
 
     def _advance_cycle(self, now: float, rtt: float) -> float:
@@ -75,7 +79,7 @@ class BBR(CongestionControl):
         if self.btl_bw > 0:
             self.rate_pps = max(MIN_RATE_PPS, gain * self.btl_bw)
         else:
-            self.rate_pps = max(MIN_RATE_PPS, self.rate_pps * 1.05)
+            self.rate_pps = max(MIN_RATE_PPS, self.rate_pps * _RAMP)
 
     def inflight_cap(self) -> float:
         """BBR bounds inflight to 2·BDP to limit standing queues.
@@ -100,16 +104,86 @@ class BBR(CongestionControl):
 
     def on_loss(self, *, now: float) -> None:
         # BBRv1 reacts to loss only via a mild rate floor adjustment.
-        self.rate_pps = max(MIN_RATE_PPS, self.rate_pps * 0.95)
+        self.rate_pps = max(MIN_RATE_PPS, self.rate_pps * _LOSS_BETA)
         self.last_loss_reaction = now
 
-    def fluid_update(
-        self, *, now: float, dt: float, rtt: float, expected_losses: float, delivered_rate: float
-    ) -> None:
-        self.observe_rtt(rtt)
-        self._update_bw(now, delivered_rate)
-        if self._in_startup and now - self._cycle_start >= rtt:
-            self._cycle_start = now
-            self._check_startup_exit()
-        self._repace(now, rtt)
-        self.accumulate_loss(expected_losses, now=now, rtt=rtt)
+    def fluid_flows(self, n_flows: int) -> BBRFluid:
+        return BBRFluid(self, n_flows)
+
+
+class BBRFluid(FluidFlows):
+    """BBR's fluid law: per-flow bandwidth filter, startup and gain cycle."""
+
+    def __init__(self, bbr: BBR, n_flows: int):
+        super().__init__(bbr, n_flows)
+        self.bw_window_s = bbr.bw_window_s
+        self.startup_gain = bbr.startup_gain
+        self.btl_bw = [bbr.btl_bw] * n_flows
+        self.bw_samples = [deque(bbr._bw_samples) for _ in range(n_flows)]
+        self.cycle_index = [bbr._cycle_index] * n_flows
+        self.cycle_start = [bbr._cycle_start] * n_flows
+        self.in_startup = [bbr._in_startup] * n_flows
+        self.full_bw = [bbr._full_bw] * n_flows
+        self.full_bw_rounds = [bbr._full_bw_rounds] * n_flows
+
+    def rates(self, rtt: float) -> list[float]:
+        """Each flow's pacing rate (packets/s)."""
+        return [rate if rate > MIN_RATE_PPS else MIN_RATE_PPS for rate in self.rate]
+
+    def step(self, now, dt, rtt, rates, inv_arrival, overflow, served, loss_rate):
+        pacing, credit, last_loss = self.rate, self.credit, self.last_loss
+        btl_bw, bw_samples = self.btl_bw, self.bw_samples
+        cycle_index, cycle_start, in_startup = self.cycle_index, self.cycle_start, self.in_startup
+        bw_window_s, startup_gain = self.bw_window_s, self.startup_gain
+        lost_total = self.lost_total
+        for i, rate in enumerate(rates):
+            share = rate * inv_arrival
+            losses = rate * dt * loss_rate + overflow * share
+            lost_total += losses
+            delivered_rate = served * share
+            if delivered_rate > 0:
+                # The windowed-max filter of BBR._update_bw, inlined.
+                samples = bw_samples[i]
+                while samples and samples[-1][1] <= delivered_rate:
+                    samples.pop()
+                samples.append((now, delivered_rate))
+                cutoff = now - bw_window_s
+                while samples and samples[0][0] < cutoff:
+                    samples.popleft()
+                btl_bw[i] = samples[0][1] if samples else delivered_rate
+            bw = btl_bw[i]
+            if in_startup[i]:
+                # The startup-exit check runs once per round trip.
+                if now - cycle_start[i] >= rtt:
+                    cycle_start[i] = now
+                    if bw > self.full_bw[i] * _STARTUP_GROWTH:
+                        self.full_bw[i] = bw
+                        self.full_bw_rounds[i] = 0
+                    else:
+                        self.full_bw_rounds[i] += 1
+                        if self.full_bw_rounds[i] >= _STARTUP_ROUNDS:
+                            in_startup[i] = False
+            if in_startup[i]:
+                gain = startup_gain
+            else:
+                if now - cycle_start[i] >= rtt:
+                    cycle_start[i] = now
+                    cycle_index[i] = (cycle_index[i] + 1) % len(_GAIN_CYCLE)
+                gain = _GAIN_CYCLE[cycle_index[i]]
+            if bw > 0:
+                pace = gain * bw
+            else:
+                pace = pacing[i] * _RAMP
+            if pace < MIN_RATE_PPS:
+                pace = MIN_RATE_PPS
+            loss_credit = credit[i] + losses
+            if loss_credit >= 1.0 and now - last_loss[i] >= rtt:
+                loss_credit = 0.0
+                last_loss[i] = now
+                pace *= _LOSS_BETA
+                if pace < MIN_RATE_PPS:
+                    pace = MIN_RATE_PPS
+            credit[i] = loss_credit
+            pacing[i] = pace
+        self.lost_total = lost_total
+

@@ -9,7 +9,7 @@ Reno it is loss-based and therefore queue-filling.
 
 from __future__ import annotations
 
-from .base import MIN_CWND, CongestionControl
+from .base import MIN_CWND, CongestionControl, FluidFlows
 
 __all__ = ["Cubic"]
 
@@ -59,18 +59,63 @@ class Cubic(CongestionControl):
         self.epoch_start = None
         self.last_loss_reaction = now
 
-    def fluid_update(
-        self, *, now: float, dt: float, rtt: float, expected_losses: float, delivered_rate: float
-    ) -> None:
-        self.observe_rtt(rtt)
-        if self.in_slow_start():
-            self.cwnd += delivered_rate * dt
-            self.cwnd = min(self.cwnd, self.ssthresh * 2)
-        else:
-            target = self._cubic_window(now + rtt)
-            if target > self.cwnd:
-                # ACK-clocked catch-up toward the cubic curve over ~1 RTT.
-                self.cwnd += (target - self.cwnd) * min(1.0, dt / max(rtt, 1e-6))
+    def fluid_flows(self, n_flows: int) -> CubicFluid:
+        return CubicFluid(self, n_flows)
+
+
+class CubicFluid(FluidFlows):
+    """CUBIC's fluid law: ACK-clocked catch-up toward the cubic curve."""
+
+    def __init__(self, cubic: Cubic, n_flows: int):
+        super().__init__(cubic, n_flows)
+        self.c = cubic.c
+        self.beta = cubic.beta
+        self.w_max = [cubic.w_max] * n_flows
+        self.epoch_start = [cubic.epoch_start] * n_flows
+        self.k = [cubic.k] * n_flows
+        self.ssthresh = [cubic.ssthresh] * n_flows
+
+    def step(self, now, dt, rtt, rates, inv_arrival, overflow, served, loss_rate):
+        cwnd, credit, last_loss = self.cwnd, self.credit, self.last_loss
+        w_max, epoch_start, k, ssthresh = self.w_max, self.epoch_start, self.k, self.ssthresh
+        c, beta = self.c, self.beta
+        lost_total = self.lost_total
+        horizon = now + rtt  # the curve is evaluated one RTT ahead
+        rtt_floor = rtt if rtt > 1e-6 else 1e-6
+        catch_up = dt / rtt_floor  # close the gap to the curve over ~1 RTT
+        if catch_up > 1.0:
+            catch_up = 1.0
+        plateau = 0.01 * dt / rtt_floor
+        for i, rate in enumerate(rates):
+            share = rate * inv_arrival
+            losses = rate * dt * loss_rate + overflow * share
+            lost_total += losses
+            window = cwnd[i]
+            if w_max[i] == 0.0 and window < ssthresh[i]:
+                window += served * share * dt
+                cap = ssthresh[i] * 2
+                if cap < window:
+                    window = cap
             else:
-                self.cwnd += 0.01 * dt / max(rtt, 1e-6)
-        self.accumulate_loss(expected_losses, now=now, rtt=rtt)
+                epoch = epoch_start[i]
+                if epoch is None:
+                    epoch_start[i] = epoch = horizon
+                    k[i] = (w_max[i] * (1.0 - beta) / c) ** (1.0 / 3.0)
+                target = c * (horizon - epoch - k[i]) ** 3 + w_max[i]
+                if target > window:
+                    window += (target - window) * catch_up
+                else:
+                    window += plateau
+            loss_credit = credit[i] + losses
+            if loss_credit >= 1.0 and now - last_loss[i] >= rtt:
+                loss_credit = 0.0
+                last_loss[i] = now
+                w_max[i] = window
+                window *= beta
+                if window < MIN_CWND:
+                    window = MIN_CWND
+                ssthresh[i] = window
+                epoch_start[i] = None
+            credit[i] = loss_credit
+            cwnd[i] = window
+        self.lost_total = lost_total

@@ -9,7 +9,7 @@ makes SCReAM attractive for latency-sensitive flows.
 
 from __future__ import annotations
 
-from .base import MIN_CWND, CongestionControl
+from .base import MIN_CWND, CongestionControl, FluidFlows
 
 __all__ = ["Reno"]
 
@@ -41,14 +41,42 @@ class Reno(CongestionControl):
         self.cwnd = self.ssthresh
         self.last_loss_reaction = now
 
-    def fluid_update(
-        self, *, now: float, dt: float, rtt: float, expected_losses: float, delivered_rate: float
-    ) -> None:
-        self.observe_rtt(rtt)
-        acks = delivered_rate * dt
-        if self.in_slow_start():
-            self.cwnd += acks  # one extra packet per ACK doubles per RTT
-            self.cwnd = min(self.cwnd, self.ssthresh * 2)
-        else:
-            self.cwnd += acks / self.cwnd  # +1 packet per RTT
-        self.accumulate_loss(expected_losses, now=now, rtt=rtt)
+    def fluid_flows(self, n_flows: int) -> RenoFluid:
+        return RenoFluid(self, n_flows)
+
+
+class RenoFluid(FluidFlows):
+    """Reno's fluid law: ACK-clocked slow start and +1 packet per RTT,
+    halving on a loss event."""
+
+    def __init__(self, reno: Reno, n_flows: int):
+        super().__init__(reno, n_flows)
+        self.ssthresh = [reno.ssthresh] * n_flows
+
+    def step(self, now, dt, rtt, rates, inv_arrival, overflow, served, loss_rate):
+        cwnd, ssthresh, credit, last_loss = self.cwnd, self.ssthresh, self.credit, self.last_loss
+        lost_total = self.lost_total
+        for i, rate in enumerate(rates):
+            share = rate * inv_arrival
+            losses = rate * dt * loss_rate + overflow * share
+            lost_total += losses
+            acks = served * share * dt
+            window = cwnd[i]
+            if window < ssthresh[i]:
+                window += acks  # one extra packet per ACK doubles per RTT
+                cap = ssthresh[i] * 2
+                if cap < window:
+                    window = cap
+            else:
+                window += acks / window  # +1 packet per RTT
+            loss_credit = credit[i] + losses
+            if loss_credit >= 1.0 and now - last_loss[i] >= rtt:
+                loss_credit = 0.0
+                last_loss[i] = now
+                window /= 2.0
+                if window < MIN_CWND:
+                    window = MIN_CWND
+                ssthresh[i] = window
+            credit[i] = loss_credit
+            cwnd[i] = window
+        self.lost_total = lost_total

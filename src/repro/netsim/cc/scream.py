@@ -17,7 +17,7 @@ queue-filling competitors — the conditions where other protocols win.
 
 from __future__ import annotations
 
-from .base import MIN_CWND, CongestionControl
+from .base import MIN_CWND, CongestionControl, FluidFlows
 
 __all__ = ["Scream"]
 
@@ -70,9 +70,53 @@ class Scream(CongestionControl):
         self.cwnd = max(MIN_CWND, self.cwnd * self.loss_beta)
         self.last_loss_reaction = now
 
-    def fluid_update(
-        self, *, now: float, dt: float, rtt: float, expected_losses: float, delivered_rate: float
-    ) -> None:
-        self.observe_rtt(rtt)
-        self._window_step(rtt, fraction_of_rtt=dt / max(rtt, 1e-6))
-        self.accumulate_loss(expected_losses, now=now, rtt=rtt)
+    def fluid_flows(self, n_flows: int) -> ScreamFluid:
+        return ScreamFluid(self, n_flows)
+
+
+class ScreamFluid(FluidFlows):
+    """SCReAM's fluid law: the LEDBAT-style step over ``dt/rtt`` of an RTT."""
+
+    def __init__(self, scream: Scream, n_flows: int):
+        super().__init__(scream, n_flows)
+        self.target_delay = scream.target_delay
+        self.gain = scream.gain
+        self.loss_beta = scream.loss_beta
+        self.max_shrink_per_rtt = scream.max_shrink_per_rtt
+        # One estimate for the run: every flow observes the same RTT.
+        self.min_rtt = scream.min_rtt
+
+    def step(self, now, dt, rtt, rates, inv_arrival, overflow, served, loss_rate):
+        cwnd, credit, last_loss = self.cwnd, self.credit, self.last_loss
+        loss_beta, max_shrink_per_rtt = self.loss_beta, self.max_shrink_per_rtt
+        lost_total = self.lost_total
+        if rtt < self.min_rtt:
+            self.min_rtt = rtt
+        qdelay = rtt - self.min_rtt
+        if qdelay < 0.0:
+            qdelay = 0.0
+        pressure = 1.0 - qdelay / self.target_delay  # >0 below target, <0 above
+        gain_pressure = self.gain * pressure
+        fraction_of_rtt = dt / (rtt if rtt > 1e-6 else 1e-6)
+        for i, rate in enumerate(rates):
+            share = rate * inv_arrival
+            losses = rate * dt * loss_rate + overflow * share
+            lost_total += losses
+            window = cwnd[i]
+            delta = gain_pressure * window * fraction_of_rtt
+            max_shrink = max_shrink_per_rtt * window * fraction_of_rtt
+            if delta < -max_shrink:
+                delta = -max_shrink
+            window += delta
+            if window < MIN_CWND:
+                window = MIN_CWND
+            loss_credit = credit[i] + losses
+            if loss_credit >= 1.0 and now - last_loss[i] >= rtt:
+                loss_credit = 0.0
+                last_loss[i] = now
+                window *= loss_beta
+                if window < MIN_CWND:
+                    window = MIN_CWND
+            credit[i] = loss_credit
+            cwnd[i] = window
+        self.lost_total = lost_total

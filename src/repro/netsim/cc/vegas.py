@@ -10,9 +10,11 @@ source of "SCReAM is not best" labels in the dataset.
 
 from __future__ import annotations
 
-from .base import MIN_CWND, CongestionControl
+from .base import MIN_CWND, CongestionControl, FluidFlows
 
 __all__ = ["Vegas"]
+
+_LOSS_BETA = 0.75  # multiplicative decrease on a loss event
 
 
 class Vegas(CongestionControl):
@@ -55,12 +57,52 @@ class Vegas(CongestionControl):
         self._adjust(rtt, scale=1.0 / max(self.cwnd, 1.0))
 
     def on_loss(self, *, now: float) -> None:
-        self.cwnd = max(MIN_CWND, self.cwnd * 0.75)
+        self.cwnd = max(MIN_CWND, self.cwnd * _LOSS_BETA)
         self.last_loss_reaction = now
 
-    def fluid_update(
-        self, *, now: float, dt: float, rtt: float, expected_losses: float, delivered_rate: float
-    ) -> None:
-        self.observe_rtt(rtt)
-        self._adjust(rtt, scale=dt / max(rtt, 1e-6))
-        self.accumulate_loss(expected_losses, now=now, rtt=rtt)
+    def fluid_flows(self, n_flows: int) -> VegasFluid:
+        return VegasFluid(self, n_flows)
+
+
+class VegasFluid(FluidFlows):
+    """Vegas' fluid law: the per-RTT ±1 adjustment, spread over the step."""
+
+    def __init__(self, vegas: Vegas, n_flows: int):
+        super().__init__(vegas, n_flows)
+        self.alpha = vegas.alpha
+        self.beta = vegas.beta
+        # One estimate for the run: every flow observes the same RTT.
+        self.min_rtt = vegas.min_rtt
+
+    def step(self, now, dt, rtt, rates, inv_arrival, overflow, served, loss_rate):
+        cwnd, credit, last_loss = self.cwnd, self.credit, self.last_loss
+        alpha, beta = self.alpha, self.beta
+        lost_total = self.lost_total
+        if rtt < self.min_rtt:
+            self.min_rtt = rtt
+        min_rtt = self.min_rtt
+        scale = dt / (rtt if rtt > 1e-6 else 1e-6)
+        for i, rate in enumerate(rates):
+            share = rate * inv_arrival
+            losses = rate * dt * loss_rate + overflow * share
+            lost_total += losses
+            window = cwnd[i]
+            queued = (window / min_rtt - window / rtt) * min_rtt
+            # Below ssthresh Vegas grows by the same step, so only the
+            # queue estimate decides.
+            if queued < alpha:
+                window += scale
+            elif queued > beta:
+                window -= scale
+                if window < MIN_CWND:
+                    window = MIN_CWND
+            loss_credit = credit[i] + losses
+            if loss_credit >= 1.0 and now - last_loss[i] >= rtt:
+                loss_credit = 0.0
+                last_loss[i] = now
+                window *= _LOSS_BETA
+                if window < MIN_CWND:
+                    window = MIN_CWND
+            credit[i] = loss_credit
+            cwnd[i] = window
+        self.lost_total = lost_total

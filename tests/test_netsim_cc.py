@@ -7,6 +7,15 @@ from repro.exceptions import ValidationError
 from repro.netsim.cc import BBR, PROTOCOLS, Cubic, Reno, Scream, Vegas, make_protocol
 
 
+def fluid_step(law, *, now, dt, rtt, delivered_rate, expected_losses=0.0):
+    """Advance a one-flow fluid law by one step.
+
+    The lone flow holds the whole bottleneck (share 1.0), so it is
+    delivered ``delivered_rate`` and takes all of ``expected_losses``.
+    """
+    law.step(now, dt, rtt, [1.0], 1.0, expected_losses, delivered_rate, 0.0)
+
+
 class TestRegistry:
     def test_all_protocols_constructible(self):
         for name in PROTOCOLS:
@@ -60,16 +69,15 @@ class TestReno:
         event.reset(now=0.0)
         event.ssthresh = 1.0
         event.cwnd = 10.0
-        fluid = Reno()
-        fluid.reset(now=0.0)
-        fluid.ssthresh = 1.0
-        fluid.cwnd = 10.0
+        fluid = Reno().fluid_flows(1)
+        fluid.ssthresh[0] = 1.0
+        fluid.cwnd[0] = 10.0
         # One RTT of acks: 10 acks event-wise == one fluid step of rtt with
         # delivered_rate = cwnd/rtt.
         for i in range(10):
             event.on_ack(now=0.0, rtt=0.1)
-        fluid.fluid_update(now=0.0, dt=0.1, rtt=0.1, expected_losses=0.0, delivered_rate=100.0)
-        assert fluid.cwnd == pytest.approx(event.cwnd, rel=0.05)
+        fluid_step(fluid, now=0.0, dt=0.1, rtt=0.1, delivered_rate=100.0)
+        assert fluid.cwnd[0] == pytest.approx(event.cwnd, rel=0.05)
 
 
 class TestCubic:
@@ -86,21 +94,23 @@ class TestCubic:
         cubic.reset(now=0.0)
         cubic.cwnd = 100.0
         cubic.on_loss(now=0.0)
+        fluid = cubic.fluid_flows(1)
         for step in range(400):
-            cubic.fluid_update(now=0.01 * step, dt=0.01, rtt=0.05, expected_losses=0.0, delivered_rate=1000.0)
-        assert cubic.cwnd == pytest.approx(100.0, rel=0.2)
+            fluid_step(fluid, now=0.01 * step, dt=0.01, rtt=0.05, delivered_rate=1000.0)
+        assert fluid.cwnd[0] == pytest.approx(100.0, rel=0.2)
 
     def test_concave_then_convex_growth(self):
         cubic = Cubic()
         cubic.reset(now=0.0)
         cubic.cwnd = 100.0
         cubic.on_loss(now=0.0)
+        fluid = cubic.fluid_flows(1)
         windows = []
         for step in range(1000):
-            cubic.fluid_update(now=0.01 * step, dt=0.01, rtt=0.05, expected_losses=0.0, delivered_rate=1000.0)
-            windows.append(cubic.cwnd)
+            fluid_step(fluid, now=0.01 * step, dt=0.01, rtt=0.05, delivered_rate=1000.0)
+            windows.append(fluid.cwnd[0])
         growth = np.diff(windows)
-        k_index = int(cubic.k / 0.01)
+        k_index = int(fluid.k[0] / 0.01)
         if 10 < k_index < 900:
             early = growth[:k_index].mean()
             late = growth[k_index + 50 :].mean()
@@ -136,13 +146,14 @@ class TestVegas:
         vegas = Vegas(alpha=2.0, beta=4.0)
         vegas.reset(now=0.0)
         vegas.observe_rtt(0.1)
+        fluid = vegas.fluid_flows(1)
         capacity = 500.0  # pkts/s
         queue = 0.0
         for step in range(4000):
             rtt = 0.1 + queue / capacity
-            rate = vegas.sending_rate(rtt)
+            rate = fluid.rates(rtt)[0]
             queue = max(0.0, queue + (rate - capacity) * 0.01)
-            vegas.fluid_update(now=step * 0.01, dt=0.01, rtt=rtt, expected_losses=0.0, delivered_rate=min(rate, capacity))
+            fluid_step(fluid, now=step * 0.01, dt=0.01, rtt=rtt, delivered_rate=min(rate, capacity))
         assert 1.0 <= queue <= 6.0  # settles between alpha and beta packets
 
 
@@ -177,9 +188,10 @@ class TestScream:
         scream.reset(now=0.0)
         scream.observe_rtt(0.01)
         scream.cwnd = 100.0
-        scream.fluid_update(now=0.0, dt=0.01, rtt=1.0, expected_losses=0.0, delivered_rate=10.0)
+        fluid = scream.fluid_flows(1)
+        fluid_step(fluid, now=0.0, dt=0.01, rtt=1.0, delivered_rate=10.0)
         # One step of dt/rtt = 0.01 of an RTT: shrink <= 0.5% of the window.
-        assert scream.cwnd >= 99.0
+        assert fluid.cwnd[0] >= 99.0
 
     def test_invalid_target(self):
         with pytest.raises(ValueError):
@@ -192,11 +204,12 @@ class TestScream:
         base_rtt = 0.04
         queue = 0.0
         scream.observe_rtt(base_rtt)
+        fluid = scream.fluid_flows(1)
         for step in range(6000):
             rtt = base_rtt + queue / capacity
-            rate = scream.sending_rate(rtt)
+            rate = fluid.rates(rtt)[0]
             queue = max(0.0, queue + (rate - capacity) * 0.005)
-            scream.fluid_update(now=step * 0.005, dt=0.005, rtt=rtt, expected_losses=0.0, delivered_rate=min(rate, capacity))
+            fluid_step(fluid, now=step * 0.005, dt=0.005, rtt=rtt, delivered_rate=min(rate, capacity))
         final_queue_delay = queue / capacity
         assert final_queue_delay == pytest.approx(0.02, abs=0.015)
 
@@ -223,10 +236,11 @@ class TestBBR:
         bbr.reset(now=0.0)
         bbr._in_startup = False
         bbr.btl_bw = 100.0
+        fluid = bbr.fluid_flows(1)
         gains = set()
         for step in range(40):
-            bbr.fluid_update(now=0.05 * step, dt=0.05, rtt=0.05, expected_losses=0.0, delivered_rate=100.0)
-            gains.add(round(bbr.rate_pps / 100.0, 2))
+            fluid_step(fluid, now=0.05 * step, dt=0.05, rtt=0.05, delivered_rate=100.0)
+            gains.add(round(fluid.rate[0] / 100.0, 2))
         assert 1.25 in gains and 0.75 in gains
 
     def test_inflight_cap_has_floor(self):
@@ -256,21 +270,24 @@ class TestSharedMachinery:
         reno = Reno()
         reno.reset(now=0.0)
         reno.cwnd = 64.0
-        fired = reno.accumulate_loss(1.5, now=1.0, rtt=0.1)
-        assert fired and reno.cwnd == pytest.approx(32.0)
+        fluid = reno.fluid_flows(1)
+        fluid_step(fluid, now=1.0, dt=0.01, rtt=0.1, delivered_rate=0.0, expected_losses=1.5)
+        fired = fluid.last_loss[0] == 1.0
+        assert fired and fluid.cwnd[0] == pytest.approx(32.0)
         # Immediately after, another loss must NOT fire (same window).
-        fired_again = reno.accumulate_loss(1.5, now=1.01, rtt=0.1)
+        fluid_step(fluid, now=1.01, dt=0.01, rtt=0.1, delivered_rate=0.0, expected_losses=1.5)
+        fired_again = fluid.last_loss[0] == 1.01
         assert not fired_again
 
     def test_sending_rate_window_vs_rate(self):
         reno = Reno()
         reno.reset(now=0.0)
         reno.cwnd = 10.0
-        assert reno.sending_rate(0.1) == pytest.approx(100.0)
+        assert reno.fluid_flows(1).rates(0.1)[0] == pytest.approx(100.0)
         bbr = BBR()
         bbr.reset(now=0.0)
         bbr.rate_pps = 123.0
-        assert bbr.sending_rate(0.1) == pytest.approx(123.0)
+        assert bbr.fluid_flows(1).rates(0.1)[0] == pytest.approx(123.0)
 
     def test_negative_rtt_rejected(self):
         reno = Reno()

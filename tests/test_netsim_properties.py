@@ -7,7 +7,7 @@ Hypothesis drives both engines across the scenario space.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import (
@@ -15,6 +15,7 @@ from repro.netsim import (
     Sender,
     Simulator,
     BottleneckLink,
+    FluidTrace,
     run_fluid_scenario,
     run_packet_scenario,
 )
@@ -34,15 +35,22 @@ _protocols = st.sampled_from(["reno", "cubic", "vegas", "scream", "bbr"])
 
 @settings(max_examples=20, deadline=None)
 @given(scenario=_scenarios, protocol=_protocols, seed=st.integers(0, 2**31 - 1))
+# Weighted mean 35.381 ms above a 35.0 ms p95: a heavy tail, not an error.
+@example(scenario=NetworkScenario(24.0, 70.0, 0.005148712384964759, 4, 1.0), protocol="reno", seed=1)
 def test_fluid_engine_invariants_property(scenario, protocol, seed):
-    metrics = run_fluid_scenario(scenario, protocol, random_state=seed)
+    trace = FluidTrace()
+    metrics = run_fluid_scenario(scenario, protocol, random_state=seed, trace=trace)
     # Physics: one-way delay is at least half the base RTT.
     assert metrics.avg_delay_ms >= scenario.rtt_ms / 2.0 - 1e-6
-    # p95 >= mean up to discretization: the weighted percentile picks a
-    # concrete sample, which on a near-constant delay distribution can sit
-    # slightly below the weighted mean — the gap scales with the delay
-    # magnitude, so the tolerance must too.
-    assert metrics.p95_delay_ms >= metrics.avg_delay_ms - max(1e-3, 0.01 * metrics.avg_delay_ms)
+    # The weighted p95 leaves at most 5% of the weight above it, so the
+    # weighted mean is at most 0.95·p95 + 0.05·(largest sampled delay).
+    # The mean may exceed p95 when that 5% tail is long.
+    times, queue, _ = trace.as_arrays()
+    # Delay samples start after run_fluid_scenario's default 25% warm-up.
+    delays = (scenario.base_rtt_s / 2.0 + queue / scenario.bandwidth_pps) * 1000.0
+    max_delay_ms = delays[times >= 0.25 * metrics.duration].max()
+    bound = 0.95 * metrics.p95_delay_ms + 0.05 * max_delay_ms
+    assert metrics.avg_delay_ms <= bound * (1.0 + 1e-9)
     # Delay is bounded by propagation + a full queue.
     max_queue_delay_ms = scenario.queue_capacity_packets / scenario.bandwidth_pps * 1000.0
     assert metrics.p95_delay_ms <= scenario.rtt_ms / 2.0 + max_queue_delay_ms + 1e-6
