@@ -141,6 +141,24 @@ class TestRegressor:
         with pytest.raises(NotFittedError):
             DecisionTreeRegressor().predict([[0.0]])
 
+    def test_invalid_min_samples(self):
+        with pytest.raises(ValidationError):
+            DecisionTreeRegressor(min_samples_split=0)
+        with pytest.raises(ValidationError):
+            DecisionTreeRegressor(min_samples_split=1)
+        with pytest.raises(ValidationError):
+            DecisionTreeRegressor(min_samples_leaf=0)
+
+
+class TestDeepTrees:
+    def test_unbounded_depth_grows_past_the_recursion_limit(self):
+        """Alternating labels on one feature force a chain of 1,199 splits."""
+        X = np.arange(1200, dtype=np.float64).reshape(-1, 1)
+        y = np.arange(1200) % 2
+        tree = DecisionTreeClassifier(random_state=0).fit(X, y)
+        assert tree.depth_ == 1199
+        assert tree.score(X, y) == 1.0
+
 
 @settings(max_examples=25, deadline=None)
 @given(
