@@ -10,7 +10,6 @@ preserved: :class:`AutoMLClassifier` exposes its fitted members via
 from .automl import AutoMLClassifier
 from .ensemble import EnsembleClassifier, greedy_ensemble_selection
 from .spec import AutoMLSpec
-from .halving import SuccessiveHalvingSearch
 from .pipeline import Pipeline
 from .search import EvaluatedCandidate, RandomSearch, SearchResult
 from .spaces import (
@@ -30,7 +29,6 @@ __all__ = [
     "greedy_ensemble_selection",
     "Pipeline",
     "RandomSearch",
-    "SuccessiveHalvingSearch",
     "SearchResult",
     "EvaluatedCandidate",
     "Candidate",

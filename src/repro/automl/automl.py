@@ -1,7 +1,7 @@
 """The AutoML façade: search + ensemble selection behind one ``fit``.
 
 :class:`AutoMLClassifier` is this library's stand-in for AutoSklearn: it
-random-searches the model/preprocessing space under a budget, performs
+random-searches a fixed number of model/preprocessing candidates, performs
 greedy ensemble selection on a held-out validation split, refits the
 selected members on all the training data, and exposes the resulting
 weighted ensemble — including the individual members, which is what the
@@ -26,16 +26,17 @@ __all__ = ["AutoMLClassifier"]
 
 
 class AutoMLClassifier:
-    """Budgeted AutoML for classification.
+    """AutoML for classification with a candidate-count budget.
 
     Parameters
     ----------
-    n_iterations, time_budget:
-        Search budget (candidate count / optional wall-clock seconds).
+    n_iterations:
+        Search budget: the number of candidate configurations evaluated.
+        A fixed share of the training rows
+        (:data:`repro.automl.search.VALID_FRACTION`) is held out to score
+        them and to select the ensemble.
     ensemble_size:
         Number of greedy selection rounds; repeated picks become weights.
-    valid_fraction:
-        Held-out fraction used to score candidates and select the ensemble.
     families:
         Optional restricted list of :class:`ModelFamily`; the domain
         customization wrapper uses this hook.
@@ -56,57 +57,31 @@ class AutoMLClassifier:
         self,
         *,
         n_iterations: int = 30,
-        time_budget: float | None = None,
         ensemble_size: int = 10,
         min_distinct_members: int = 4,
-        valid_fraction: float = 0.25,
         families: list[ModelFamily] | None = None,
         scorer: Callable[[np.ndarray, np.ndarray], float] | None = None,
-        search_strategy: str = "random",
         random_state: RandomState = None,
     ):
         if ensemble_size < 1:
             raise ValidationError(f"ensemble_size must be >= 1, got {ensemble_size}")
         if min_distinct_members < 1:
             raise ValidationError(f"min_distinct_members must be >= 1, got {min_distinct_members}")
-        if search_strategy not in ("random", "halving"):
-            raise ValidationError(
-                f"search_strategy must be 'random' or 'halving', got {search_strategy!r}"
-            )
         self.n_iterations = n_iterations
-        self.time_budget = time_budget
         self.ensemble_size = ensemble_size
         self.min_distinct_members = min_distinct_members
-        self.valid_fraction = valid_fraction
         self.families = families
         self.scorer = scorer or balanced_accuracy
-        self.search_strategy = search_strategy
         self.random_state = random_state
 
     def fit(self, X, y) -> "AutoMLClassifier":
         X, y = check_X_y(X, y)
-        rng = check_random_state(self.random_state)
-        if self.search_strategy == "halving":
-            from .halving import SuccessiveHalvingSearch
-
-            search = SuccessiveHalvingSearch(
-                n_candidates=max(2, self.n_iterations),
-                valid_fraction=self.valid_fraction,
-                time_budget=self.time_budget,
-                families=self.families,
-                scorer=self.scorer,
-                random_state=rng,
-            )
-        else:
-            search = RandomSearch(
-                n_iterations=self.n_iterations,
-                time_budget=self.time_budget,
-                valid_fraction=self.valid_fraction,
-                families=self.families,
-                scorer=self.scorer,
-                random_state=rng,
-            )
-        result = search.run(X, y)
+        result = RandomSearch(
+            n_iterations=self.n_iterations,
+            families=self.families,
+            scorer=self.scorer,
+            random_state=check_random_state(self.random_state),
+        ).run(X, y)
         picks = greedy_ensemble_selection(
             [item.valid_proba for item in result.evaluated],
             y[result.valid_indices],

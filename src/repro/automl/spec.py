@@ -26,19 +26,18 @@ __all__ = ["AutoMLSpec"]
 class AutoMLSpec:
     """Constructor arguments of :class:`AutoMLClassifier`, minus the seed.
 
-    ``scorer`` must be a module-level function (pickled by reference) and
-    ``families`` a tuple of :class:`ModelFamily` — both requirements come
-    from the process boundary, not from this class.
+    ``n_iterations`` (the candidate count) is the whole search budget, so
+    the spec plus a seed fixes every fitted byte.  ``scorer`` must be a
+    module-level function (pickled by reference) and ``families`` a tuple
+    of :class:`ModelFamily` — both requirements come from the process
+    boundary, not from this class.
     """
 
     n_iterations: int = 30
-    time_budget: float | None = None
     ensemble_size: int = 10
     min_distinct_members: int = 4
-    valid_fraction: float = 0.25
     families: tuple[ModelFamily, ...] | None = None
     scorer: Callable[[np.ndarray, np.ndarray], float] | None = None
-    search_strategy: str = "random"
 
     def build(self, random_state) -> AutoMLClassifier:
         """Construct the classifier this spec describes, seeded by ``random_state``."""

@@ -68,13 +68,9 @@ DEFAULT_LAYERS: dict[str, list[str] | str] = {
 DEFAULT_ALLOW: dict[str, list[str]] = {
     # repro.rng is the one module allowed to construct generators.
     "RL001": ["repro/rng.py"],
-    # Budget-owning modules: the searches meter their own wall clock and
-    # the runtime clock owns every timeout/duration the executors need.
-    "RL004": [
-        "repro/automl/search.py",
-        "repro/automl/halving.py",
-        "repro/runtime/clock.py",
-    ],
+    # The runtime clock owns every timeout/duration the executors need;
+    # everything else takes its time readings from there.
+    "RL004": ["repro/runtime/clock.py"],
 }
 
 

@@ -11,7 +11,7 @@ rests on (see DESIGN.md §3 and README "Code invariants & reprolint"):
   explains.
 - RL003 — every ``repro.ml`` estimator honors the one shared API that
   ``AutoMLClassifier`` and QBC blindly consume.
-- RL004 — wall-clock reads live only in budget-owning modules; anywhere
+- RL004 — wall-clock reads live only in the runtime clock module; anywhere
   else they smuggle nondeterminism into supposedly pure computations.
 - RL005 — no mutable default arguments, no bare ``except:``.
 - RL006 — numpydoc ``Parameters`` sections must not name arguments the
@@ -310,16 +310,16 @@ _CLOCK_TARGETS = {
 
 @register
 class WallClockRule(Rule):
-    """RL004: wall-clock reads only in budget-owning modules.
+    """RL004: wall-clock reads only in the module that owns the clock.
 
-    The default config allowlists ``automl/search.py``, ``automl/halving.py``
-    and ``experiments/runner.py`` — the modules that own time budgets.
-    Anywhere else, a clock read makes a result depend on machine speed.
+    The default config allowlists ``runtime/clock.py`` alone, which owns
+    every timeout and duration.  Anywhere else, a clock read makes a
+    result depend on machine speed.
     """
 
     id = "RL004"
     name = "wall-clock-purity"
-    description = "time.time/monotonic/perf_counter belong only to budget-owning modules"
+    description = "time.time/monotonic/perf_counter belong only to repro.runtime.clock"
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
         if not isinstance(node, ast.Call):
@@ -329,8 +329,8 @@ class WallClockRule(Rule):
             yield self.finding(
                 ctx,
                 node,
-                f"wall-clock read '{target}' outside a budget-owning module — "
-                "pass elapsed time in, or move the budget logic here explicitly",
+                f"wall-clock read '{target}' outside repro.runtime.clock — "
+                "use its Stopwatch/Deadline, or pass elapsed time in",
             )
 
 

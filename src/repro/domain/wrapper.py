@@ -56,10 +56,11 @@ class _ColumnSubsetModel:
 class DomainCustomizedAutoML:
     """AutoML constrained by a :class:`DomainSpec`.
 
-    Accepts the same budget arguments as :class:`AutoMLClassifier` plus the
-    spec.  ``ale_grid_size`` controls the resolution of the monotonicity
-    check; ``monotonicity_tolerance`` is the fraction of wrong-direction
-    movement tolerated before a member is evicted.
+    Accepts the same candidate-count budget and ensemble arguments as
+    :class:`AutoMLClassifier`, plus the spec.  ``ale_grid_size`` controls
+    the resolution of the monotonicity check; ``monotonicity_tolerance`` is
+    the fraction of wrong-direction movement tolerated before a member is
+    evicted.
     """
 
     def __init__(
@@ -67,7 +68,6 @@ class DomainCustomizedAutoML:
         spec: DomainSpec,
         *,
         n_iterations: int = 30,
-        time_budget: float | None = None,
         ensemble_size: int = 10,
         min_distinct_members: int = 4,
         include_structured_gaussian: bool = True,
@@ -79,7 +79,6 @@ class DomainCustomizedAutoML:
             raise ValidationError(f"monotonicity_tolerance must be in [0, 1], got {monotonicity_tolerance}")
         self.spec = spec
         self.n_iterations = n_iterations
-        self.time_budget = time_budget
         self.ensemble_size = ensemble_size
         self.min_distinct_members = min_distinct_members
         self.include_structured_gaussian = include_structured_gaussian
@@ -119,7 +118,6 @@ class DomainCustomizedAutoML:
         X_kept = X[:, self._columns]
         automl = AutoMLClassifier(
             n_iterations=self.n_iterations,
-            time_budget=self.time_budget,
             ensemble_size=self.ensemble_size,
             min_distinct_members=self.min_distinct_members,
             families=self._families(),

@@ -82,9 +82,11 @@ class _TreeGrower:
 
     Subclass hooks:
 
-    - ``_node_value(indices)``    -> leaf payload (probability vector / mean)
-    - ``_node_impurity(indices)`` -> scalar impurity of the node
-    - ``_is_pure(indices)``       -> whether every target in the node is equal
+    - ``_node_stats(indices)`` -> ``(value, impurity, pure)``: the leaf
+      payload (probability vector / mean), the node's scalar impurity and
+      whether every target in the node is equal, from one read of its
+      targets.  A pure node never splits, so its impurity may be 0.0
+      without being computed.
     - ``_split_scores(sorted_indices)`` -> impurity-weighted score of every
       split position, ``(F, n - 1)``, given the node's ``(F, n)`` sample
       indices sorted along each candidate feature's row.
@@ -111,16 +113,10 @@ class _TreeGrower:
         self.rng = rng
 
     # -- hooks -----------------------------------------------------------
-    def _node_value(self, indices: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _node_impurity(self, indices: np.ndarray) -> float:
+    def _node_stats(self, indices: np.ndarray) -> tuple[np.ndarray, float, bool]:
         raise NotImplementedError
 
     def _split_scores(self, sorted_indices: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _is_pure(self, indices: np.ndarray) -> bool:
         raise NotImplementedError
 
     # -- growth ----------------------------------------------------------
@@ -144,8 +140,9 @@ class _TreeGrower:
             feature.append(_NO_FEATURE)
             threshold.append(np.nan)
             n_samples.append(indices.size)
-            values.append(self._node_value(indices))
-            children = self._split_node(indices, depth)
+            value, impurity, pure = self._node_stats(indices)
+            values.append(value)
+            children = None if pure else self._split_node(indices, depth, impurity)
             if children is not None:
                 split, left_idx, right_idx = children
                 feature[node_id] = split.feature
@@ -161,16 +158,17 @@ class _TreeGrower:
             "value": np.vstack(values),
         }
 
-    def _split_node(self, indices: np.ndarray, depth: int) -> tuple[_Split, np.ndarray, np.ndarray] | None:
-        """The node's split and its children's indices, or None for a leaf."""
+    def _split_node(
+        self, indices: np.ndarray, depth: int, impurity: float
+    ) -> tuple[_Split, np.ndarray, np.ndarray] | None:
+        """The impure node's split and its children's indices, or None for a leaf."""
         if (
             depth >= self.max_depth
             or indices.size < self.min_samples_split
             or indices.size < 2 * self.min_samples_leaf
-            or self._is_pure(indices)
         ):
             return None
-        split = self._find_best_split(indices)
+        split = self._find_best_split(indices, impurity)
         if split is None or split.gain < self.min_impurity_decrease:
             return None
         left_mask = self._columns[split.feature, indices] <= split.threshold
@@ -185,7 +183,7 @@ class _TreeGrower:
             return np.arange(n_features)
         return self.rng.choice(n_features, size=k, replace=False)
 
-    def _find_best_split(self, indices: np.ndarray) -> _Split | None:
+    def _find_best_split(self, indices: np.ndarray, impurity: float) -> _Split | None:
         """Search every candidate feature of the node in one block pass.
 
         ``block`` holds the node's values of the candidate features, one
@@ -193,7 +191,7 @@ class _TreeGrower:
         """
         features = self._candidate_features(self._columns.shape[0])
         block = self._columns[features[:, None], indices]
-        found = self._search_block(indices, block, self._node_impurity(indices))
+        found = self._search_block(indices, block, impurity)
         if found is None:
             return None
         row, threshold, gain = found
@@ -233,9 +231,6 @@ class _ClassificationGrower(_TreeGrower):
         self.criterion = criterion
         self.splitter = splitter
 
-    def _class_counts(self, indices: np.ndarray) -> np.ndarray:
-        return np.bincount(self.y[indices], minlength=self.n_classes).astype(np.float64)
-
     def _one_hot(self, encoded: np.ndarray) -> np.ndarray:
         """Float 0/1 indicators of ``encoded`` along a new last axis."""
         return (encoded[..., None] == np.arange(self.n_classes)).astype(np.float64)
@@ -250,17 +245,12 @@ class _ClassificationGrower(_TreeGrower):
             logp = np.log2(p, out=np.zeros_like(p), where=p > 0)
             return -np.sum(p * logp, axis=-1)
 
-    def _node_value(self, indices: np.ndarray) -> np.ndarray:
-        counts = self._class_counts(indices)
-        return counts / counts.sum()
-
-    def _node_impurity(self, indices: np.ndarray) -> float:
-        counts = self._class_counts(indices)
-        return float(self._impurity_from_counts(counts, counts.sum()))
-
-    def _is_pure(self, indices: np.ndarray) -> bool:
-        first = self.y[indices[0]]
-        return bool(np.all(self.y[indices] == first))
+    def _node_stats(self, indices: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        counts = np.bincount(self.y[indices], minlength=self.n_classes).astype(np.float64)
+        total = counts.sum()
+        pure = np.count_nonzero(counts) == 1
+        impurity = 0.0 if pure else float(self._impurity_from_counts(counts, total))
+        return counts / total, impurity, pure
 
     def _split_scores(self, sorted_indices: np.ndarray) -> np.ndarray:
         one_hot = self._one_hot(self.y[sorted_indices])  # (F, n, C)
@@ -308,15 +298,10 @@ class _RegressionGrower(_TreeGrower):
         super().__init__(**kwargs)
         self.y = y.astype(np.float64)
 
-    def _node_value(self, indices: np.ndarray) -> np.ndarray:
-        return np.array([self.y[indices].mean()])
-
-    def _node_impurity(self, indices: np.ndarray) -> float:
-        return float(self.y[indices].var())
-
-    def _is_pure(self, indices: np.ndarray) -> bool:
-        vals = self.y[indices]
-        return bool(np.all(vals == vals[0]))
+    def _node_stats(self, indices: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        y = self.y[indices]
+        pure = bool(np.all(y == y[0]))
+        return np.array([y.mean()]), 0.0 if pure else float(y.var()), pure
 
     def _split_scores(self, sorted_indices: np.ndarray) -> np.ndarray:
         # Rows stay C-contiguous so each row's sum is the same pairwise

@@ -47,7 +47,7 @@ class Reno(CongestionControl):
 
 class RenoFluid(FluidFlows):
     """Reno's fluid law: ACK-clocked slow start and +1 packet per RTT,
-    halving on a loss event."""
+    with the window cut in half on a loss event."""
 
     def __init__(self, reno: Reno, n_flows: int):
         super().__init__(reno, n_flows)

@@ -8,11 +8,12 @@ sockets.
 
 :class:`StoreHTTPServer` is the transport
 (:class:`http.server.ThreadingHTTPServer`, mirroring
-:class:`~repro.serve.http.ServeHTTPServer`) with *streamed* artifact
-bodies: a PUT hashes chunks into a unique temp file and only installs on
-digest match (:meth:`StoreService.put_stream`), and a GET streams from
-an open handle that was hashed through that same handle, so a
-concurrent prune can never tear a response.
+:class:`~repro.serve.http.ServeHTTPServer`) and owns every artifact
+route, with *streamed* bodies: a PUT hashes chunks into a unique temp
+file and only installs on digest match (:meth:`StoreService.put_stream`),
+and a GET streams from an open handle that was hashed through that same
+handle, so a concurrent prune can never tear a response.  A HEAD answers
+from that handle's size and digest and sends no body.
 """
 
 from __future__ import annotations
@@ -59,14 +60,16 @@ StoreResponse = tuple[int, bytes, str, dict[str, str]]
 
 
 class StoreDispatcher:
-    """Store HTTP semantics for every bodiless request.
+    """Store HTTP semantics for the JSON routes and the error contract.
 
     Routes::
 
-        GET/HEAD /artifacts/<key>   blob bytes + digest/size headers
-        GET      /stat[/<key>]      store totals / one entry's size+digest
-        GET      /healthz           liveness + role
-        GET      /metrics           counters and histograms (JSON)
+        GET /stat[/<key>]   store totals / one entry's size+digest
+        GET /healthz        liveness + role
+        GET /metrics        counters and histograms (JSON)
+
+    ``/artifacts/<key>`` is served by the transport, which streams blob
+    bodies instead of buffering them.
     """
 
     def __init__(self, service: StoreService):
@@ -98,27 +101,17 @@ class StoreDispatcher:
         return None
 
     def handle(self, method: str, path: str) -> StoreResponse:
-        """One bodiless request in, one rendered response out.
-
-        ``PUT /artifacts/<key>`` streams its body and is served by the
-        transport through :meth:`StoreService.put_stream` instead.
-        """
+        """One bodiless non-artifact request in, one rendered response out."""
         try:
             if method in ("GET", "HEAD"):
-                return self._get(method, path)
+                return self._get(path)
             return self.not_found(f"no route {method} {path!r}")
         except KeyError as error:
             return self.not_found(f"no artifact {error.args[0]!r} in this store")
         except (ValidationError, StoreError) as error:
             return self.error_response(error)
 
-    def _get(self, method: str, path: str) -> StoreResponse:
-        key = self.artifact_key(path)
-        if key is not None:
-            blob, digest = self.service.get_blob(key)
-            headers = {BLOB_DIGEST_HEADER: digest, BLOB_SIZE_HEADER: str(len(blob))}
-            body = b"" if method == "HEAD" else blob
-            return 200, body, "application/octet-stream", headers
+    def _get(self, path: str) -> StoreResponse:
         if path == "/healthz":
             return self.json_response(200, self.service.healthz())
         if path == "/metrics":
@@ -151,15 +144,19 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in extra.items():
             self.send_header(name, value)
         self.end_headers()
-        if body:
+        if body and self.command != "HEAD":
             self.wfile.write(body)
 
-    # -- streamed artifact GET ---------------------------------------------
+    # -- streamed artifact GET / HEAD --------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib dispatch name
+    def _get_or_head(self) -> None:
+        """Answer GET or HEAD on any route; artifact bodies stream.
+
+        HEAD sends the same headers as GET and leaves the handle unread.
+        """
         key = StoreDispatcher.artifact_key(self.path)
         if key is None:
-            self._send(self.server.dispatcher.handle("GET", self.path))
+            self._send(self.server.dispatcher.handle(self.command, self.path))
             return
         try:
             handle, size, digest = self.server.service.open_blob(key)
@@ -176,14 +173,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(BLOB_DIGEST_HEADER, digest)
             self.send_header(BLOB_SIZE_HEADER, str(size))
             self.end_headers()
-            while True:
+            while self.command == "GET":
                 chunk = handle.read(CHUNK_BYTES)
                 if not chunk:
                     break
                 self.wfile.write(chunk)
 
-    def do_HEAD(self) -> None:  # noqa: N802 - stdlib dispatch name
-        self._send(self.server.dispatcher.handle("HEAD", self.path))
+    do_GET = do_HEAD = _get_or_head  # noqa: N815 - stdlib dispatch names
 
     # -- streamed artifact PUT ---------------------------------------------
 

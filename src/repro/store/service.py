@@ -137,12 +137,6 @@ class StoreService:
         self.metrics_registry.histogram("fetch_bytes").observe(size)
         return handle, size, h.hexdigest()
 
-    def get_blob(self, key: str) -> tuple[bytes, str]:
-        """``(blob, sha256)`` in one buffer — the non-streaming read."""
-        handle, _size, digest = self.open_blob(key)
-        with handle:
-            return handle.read(), digest
-
     def stat_key(self, key: str) -> dict[str, Any]:
         """Size and digest of one entry without counting a fetch."""
         self._check_open()

@@ -1,11 +1,14 @@
 """Tests for the AutoMLClassifier façade."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.automl import AutoMLClassifier
 from repro.exceptions import NotFittedError, ValidationError
 from repro.ml import balanced_accuracy
+from repro.runtime import ArtifactCache
 
 
 class TestAutoMLClassifier:
@@ -67,6 +70,21 @@ class TestAutoMLClassifier:
         a = AutoMLClassifier(n_iterations=5, random_state=11).fit(X, y)
         b = AutoMLClassifier(n_iterations=5, random_state=11).fit(X, y)
         assert np.allclose(a.predict_proba(X), b.predict_proba(X))
+
+    def test_same_seed_fits_pickle_and_publish_identically(self, scream_data, tmp_path):
+        """A fit's bytes depend on its seed alone, so the cache files it once.
+
+        The runtime cache, the store and the model registry all keep
+        pickled fits under content addresses; a timing read stored in the
+        fit would give every refit new bytes and a new key.
+        """
+        X, y = scream_data.X, scream_data.y
+        a = AutoMLClassifier(n_iterations=8, random_state=7).fit(X, y)
+        b = AutoMLClassifier(n_iterations=8, random_state=7).fit(X, y)
+        assert pickle.dumps(a) == pickle.dumps(b)
+        cache = ArtifactCache(tmp_path)
+        assert cache.publish(a) == cache.publish(b)
+        assert cache.info()["entries"] == 1
 
     def test_invalid_config(self):
         with pytest.raises(ValidationError):

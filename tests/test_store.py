@@ -22,6 +22,7 @@ concurrent same-key installs can never tear a blob, and ``remove``/
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import threading
@@ -90,8 +91,10 @@ class TestStoreService:
         key, blob = _key("rt"), b"artifact bytes" * 100
         result = _put(service, key, blob, blob_digest(blob))
         assert result == {"key": key, "bytes": len(blob), "sha256": blob_digest(blob), "installed": True}
-        got, digest = service.get_blob(key)
-        assert got == blob and digest == blob_digest(blob)
+        handle, size, digest = service.open_blob(key)
+        with handle:
+            assert handle.read() == blob
+        assert size == len(blob) and digest == blob_digest(blob)
         assert service.stat_key(key)["bytes"] == len(blob)
 
     def test_digest_mismatch_installs_nothing(self, tmp_path):
@@ -122,13 +125,13 @@ class TestStoreService:
         service = StoreService(tmp_path)
         for bad in ("abcd1234", "x" * 64, "A" * 63):
             with pytest.raises(ValidationError, match="64-char sha256"):
-                service.get_blob(bad)
+                service.open_blob(bad)
 
     def test_closed_store_is_unavailable(self, tmp_path):
         service = StoreService(tmp_path)
         service.close()
         for call in (
-            lambda: service.get_blob(_key("k")),
+            lambda: service.open_blob(_key("k")),
             lambda: _put(service, _key("k"), b"x", blob_digest(b"x")),
             lambda: service.stat(),
             lambda: service.healthz(),
@@ -139,16 +142,14 @@ class TestStoreService:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(blob=st.binary(min_size=0, max_size=4096))
     def test_round_trip_bitwise_for_arbitrary_bytes(self, tmp_path, blob):
-        """Publish→fetch is bitwise through the service and the dispatcher."""
+        """Publish→fetch is bitwise through the service's streamed read."""
         service = StoreService(tmp_path)
-        dispatcher = StoreDispatcher(service)
         key = blob_digest(blob)  # any 64-hex key works; this one is unique per blob
         assert _put(service, key, blob, blob_digest(blob))["installed"] is True
-        status, body, content_type, headers = dispatcher.handle("GET", f"/artifacts/{key}")
-        assert status == 200 and content_type == "application/octet-stream"
-        assert body == blob
-        assert headers[BLOB_DIGEST_HEADER] == blob_digest(blob)
-        assert headers[BLOB_SIZE_HEADER] == str(len(blob))
+        handle, size, digest = service.open_blob(key)
+        with handle:
+            assert handle.read() == blob
+        assert size == len(blob) and digest == blob_digest(blob)
 
 
 class TestWireProtocol:
@@ -164,6 +165,31 @@ class TestWireProtocol:
         assert head == {"key": key, "bytes": len(blob), "sha256": blob_digest(blob)}
         assert client.healthz()["role"] == "artifact-store"
         assert client.stat()["entries"] == 1
+
+    def test_head_sends_headers_without_a_body(self, store_server):
+        """HEAD answers GET's headers and no body, keeping keep-alive framing."""
+        client = StoreClient(store_server.url)
+        key, blob = _key("head"), b"head bytes" * 40
+        client.push(key, blob)
+        host, port = store_server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            for path in (f"/artifacts/{key}", "/healthz"):
+                connection.request("HEAD", path)
+                response = connection.getresponse()
+                assert response.status == 200 and response.read() == b""
+            assert response.headers["Content-Type"] == "application/json"
+            connection.request("HEAD", f"/artifacts/{key}")
+            response = connection.getresponse()
+            response.read()
+            assert response.headers["Content-Length"] == str(len(blob))
+            assert response.headers[BLOB_SIZE_HEADER] == str(len(blob))
+            assert response.headers[BLOB_DIGEST_HEADER] == blob_digest(blob)
+            # The same connection still parses the next response: no stray body bytes.
+            connection.request("GET", f"/artifacts/{key}")
+            assert connection.getresponse().read() == blob
+        finally:
+            connection.close()
 
     def test_digest_mismatch_is_typed_400_and_not_installed(self, store_server):
         key = _key("wire-bad")
