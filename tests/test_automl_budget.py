@@ -1,84 +1,15 @@
-"""Regression tests for the search time-budget contract.
+"""Regression tests for the search budget contract.
 
-Pins the semantics both search strategies now share (see
-``repro.automl.search.budget_exhausted``):
-
-- ``time_budget=None`` — the clock is never consulted; only the iteration
-  budget limits the run;
-- ``time_budget=0`` — zero search iterations: ``run`` raises
-  :class:`SearchBudgetError` without evaluating anything;
-- ``time_budget>0`` — at least one candidate is always evaluated, and the
-  budget is metered across successive-halving rungs rather than per rung.
+The candidate count is the only search budget: the search reads no clock,
+so a run evaluates exactly ``n_iterations`` candidates (fitted or failed).
 """
 
-import pytest
-
-from repro.automl.halving import SuccessiveHalvingSearch
-from repro.automl.search import RandomSearch, budget_exhausted
-from repro.exceptions import SearchBudgetError
-
-
-class TestBudgetExhausted:
-    def test_none_never_exhausts(self):
-        assert budget_exhausted(0.0, None, 0) is False
-        assert budget_exhausted(0.0, None, 10**6) is False
-
-    def test_zero_exhausts_before_first_evaluation(self):
-        assert budget_exhausted(0.0, 0, 0) is True
-
-    def test_positive_budget_admits_first_evaluation(self):
-        # Even a microscopic budget lets one candidate through...
-        assert budget_exhausted(0.0, 1e-12, 0) is False
-        # ...but is exhausted right after it (start in the distant past).
-        assert budget_exhausted(-1000.0, 1e-12, 1) is True
+from repro.automl.search import RandomSearch
 
 
 class TestRandomSearchBudget:
-    def test_zero_budget_means_no_iterations(self, blobs_2class):
-        X, y = blobs_2class
-        search = RandomSearch(n_iterations=10, time_budget=0, random_state=0)
-        with pytest.raises(SearchBudgetError, match="time_budget=0"):
-            search.run(X, y)
-
     def test_none_budget_runs_all_iterations(self, blobs_2class):
         X, y = blobs_2class
-        result = RandomSearch(n_iterations=5, time_budget=None, random_state=0).run(X, y)
-        assert len(result.evaluated) + len(result.failures) == 5
-
-    def test_tiny_budget_still_evaluates_one(self, blobs_2class):
-        X, y = blobs_2class
-        result = RandomSearch(n_iterations=50, time_budget=1e-9, random_state=0).run(X, y)
-        assert len(result.evaluated) == 1
-
-    def test_negative_budget_rejected_at_construction(self):
-        with pytest.raises(SearchBudgetError):
-            RandomSearch(time_budget=-0.5)
-
-
-class TestHalvingBudget:
-    def test_zero_budget_means_no_iterations(self, blobs_2class):
-        X, y = blobs_2class
-        search = SuccessiveHalvingSearch(n_candidates=6, time_budget=0, random_state=0)
-        with pytest.raises(SearchBudgetError, match="time_budget=0"):
-            search.run(X, y)
-
-    def test_none_budget_completes_all_rungs(self, blobs_2class):
-        X, y = blobs_2class
-        result = SuccessiveHalvingSearch(n_candidates=6, time_budget=None, random_state=0).run(X, y)
-        assert len(result.evaluated) >= 1
-
-    def test_tiny_budget_does_not_leak_per_rung_evaluations(self, blobs_2class):
-        """The old guard reset per rung, granting every rung a free fit.
-
-        With the budget metered across rungs, a budget exhausted after the
-        first evaluation must end the whole search — not one eval per rung.
-        """
-        X, y = blobs_2class
-        result = SuccessiveHalvingSearch(
-            n_candidates=8, eta=2, min_resource_fraction=0.1, time_budget=1e-9, random_state=0
-        ).run(X, y)
-        assert len(result.evaluated) == 1
-
-    def test_negative_budget_rejected_at_construction(self):
-        with pytest.raises(SearchBudgetError):
-            SuccessiveHalvingSearch(time_budget=-1.0)
+        for n_iterations in (1, 5):
+            result = RandomSearch(n_iterations=n_iterations, random_state=0).run(X, y)
+            assert len(result.evaluated) + len(result.failures) == n_iterations
