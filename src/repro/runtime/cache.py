@@ -46,6 +46,7 @@ __all__ = [
     "default_cache_dir",
     "CACHE_SALT",
     "PUBLISH_SALT",
+    "write_atomic",
 ]
 
 #: Format/version salt mixed into every key.  Bump when task semantics or
@@ -158,6 +159,29 @@ def task_key(task: Task, *, salt: str = CACHE_SALT) -> str:
     return h.hexdigest()
 
 
+def write_atomic(path: Path, blob: bytes) -> None:
+    """Install ``blob`` at ``path`` via a unique temp file + ``os.replace``.
+
+    The temp name comes from :func:`tempfile.mkstemp`, which is unique
+    per *call* — not merely per process — so two threads (or a publish
+    racing a concurrent install of the same key, or two registry
+    manifest writes) can never scribble into one shared temp file and
+    leave a torn file behind; each writer renames its own complete bytes
+    into place and the last rename wins whole.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(blob)
+        os.replace(tmp_name, path)
+    finally:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass  # the normal case: os.replace already consumed it
+
+
 class ArtifactCache:
     """Persistent pickle store addressed by :func:`task_key` digests."""
 
@@ -206,31 +230,9 @@ class ArtifactCache:
     def store(self, key: str, value: Any) -> Path:
         """Atomically persist ``value`` under ``key``; returns the path."""
         path = self.path_for(key)
-        self._write_atomic(path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        write_atomic(path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
         self.stores += 1
         return path
-
-    def _write_atomic(self, path: Path, blob: bytes) -> None:
-        """Install ``blob`` at ``path`` via a unique temp file + ``os.replace``.
-
-        The temp name comes from :func:`tempfile.mkstemp`, which is unique
-        per *call* — not merely per process — so two threads (or a
-        publish racing a concurrent install of the same key) can never
-        scribble into one shared temp file and leave a torn blob behind;
-        each writer renames its own complete bytes into place and the last
-        rename wins whole.
-        """
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, path)
-        finally:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass  # the normal case: os.replace already consumed it
 
     # -- publish/fetch (registry entry points) ----------------------------
 
@@ -249,7 +251,7 @@ class ArtifactCache:
         key = h.hexdigest()
         path = self.path_for(key)
         if not path.exists():
-            self._write_atomic(path, blob)
+            write_atomic(path, blob)
             self.stores += 1
         return key
 
@@ -290,7 +292,7 @@ class ArtifactCache:
         rename every other write path uses.
         """
         path = self.path_for(key)
-        self._write_atomic(path, blob)
+        write_atomic(path, blob)
         self.stores += 1
         return path
 

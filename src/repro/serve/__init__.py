@@ -13,9 +13,12 @@ This package is that loop's serving side, stdlib-only, in five pieces:
 - :mod:`~repro.serve.monitor` — :class:`UncertaintyMonitor` flagging
   points inside the registered feedback subspace or with live committee
   disagreement, feeding a bounded :class:`LabelingQueue`;
-- :mod:`~repro.serve.service` / :mod:`~repro.serve.http` /
-  :mod:`~repro.serve.client` — one façade, two transports (in-process
-  and threaded-HTTP JSON), identical response shapes;
+- :mod:`~repro.serve.service` / :mod:`~repro.serve.router` /
+  :mod:`~repro.serve.http` / :mod:`~repro.serve.async_http` /
+  :mod:`~repro.serve.client` — one façade serving one model per
+  listener, one shared request dispatcher, and three ways in
+  (in-process, threaded HTTP and event-loop HTTP JSON) with identical
+  response shapes;
 - :mod:`~repro.serve.metrics` — thread-safe counters and quantile
   histograms behind ``/metrics``.
 
@@ -30,7 +33,7 @@ from .http import ServeHTTPServer, serve_http
 from .metrics import Counter, Histogram, MetricsRegistry
 from .monitor import LabelingQueue, UncertaintyMonitor, committee_disagreement
 from .registry import ModelBundle, ModelRegistry, default_registry_dir
-from .router import ModelRouter, RequestDispatcher
+from .router import RequestDispatcher
 from .service import ServeService, render_prediction
 
 __all__ = [
@@ -50,7 +53,6 @@ __all__ = [
     "serve_http",
     "AsyncHTTPServer",
     "serve_async_http",
-    "ModelRouter",
     "RequestDispatcher",
     "InProcessClient",
     "MetricsRegistry",

@@ -43,7 +43,7 @@ from collections import deque
 from ..exceptions import RequestTimeoutError, ServeError, ValidationError
 from ..runtime.clock import Deadline, monotonic
 from .http import MAX_BODY_BYTES, parse_json_body
-from .router import ModelRouter, RequestDispatcher, RouteNotFound
+from .router import RequestDispatcher, RouteNotFound
 from .service import ServeService, render_prediction
 
 __all__ = ["AsyncHTTPServer", "serve_async_http"]
@@ -94,13 +94,13 @@ class _Connection:
 
 
 class AsyncHTTPServer:
-    """Selectors-based single-thread HTTP server over a service or router.
+    """Selectors-based single-thread HTTP server over one service.
 
     Parameters
     ----------
     service:
-        A :class:`ServeService` or :class:`ModelRouter`; owned by the
-        server (``close()`` closes it).
+        The :class:`ServeService` to serve; owned by the server
+        (``close()`` closes it).
     host:
         Interface to bind.
     port:
@@ -115,7 +115,7 @@ class AsyncHTTPServer:
 
     def __init__(
         self,
-        service: ServeService | ModelRouter,
+        service: ServeService,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
@@ -369,14 +369,14 @@ class AsyncHTTPServer:
             payload = parse_json_body(body if body else b"{}")
             kind, name = dispatcher.parse_post_route(path)
             if kind != "predict":
-                # feedback and /loop/tick are quick, blocking calls; run
-                # them inline through the shared dispatcher so both
-                # transports return bitwise-identical bodies.
+                # feedback is a quick, blocking call; run it inline
+                # through the shared dispatcher so both transports
+                # return bitwise-identical bodies.
                 status, out = dispatcher.post(path, payload)
                 self._respond(conn, status, out, close=close_requested)
                 return
             rows = dispatcher.rows_of(payload)
-            service = dispatcher.service_for(name, pick=True)
+            service = dispatcher.service_for(name)
             pending, model, version = service.begin_predict(rows, self._make_on_complete(conn))
         except RouteNotFound as error:
             status, out = dispatcher.not_found(str(error))
@@ -503,7 +503,7 @@ class AsyncHTTPServer:
 
 
 def serve_async_http(
-    service: ServeService | ModelRouter,
+    service: ServeService,
     host: str = "127.0.0.1",
     port: int = 0,
     *,

@@ -286,7 +286,10 @@ class InferenceEngine:
         """
         if self._closed.is_set():
             raise ServeError("inference engine is closed")
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        try:
+            X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ValidationError(f"request rows must be a rectangular array of numbers: {error}") from error
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValidationError(f"requests must be (n_points, n_features) with n_points >= 1, got {X.shape}")
         if X.shape[1] != self.bundle.n_features:

@@ -8,10 +8,9 @@ governed by backpressure, not by thread count):
 - ``GET  /healthz``  → service identity and liveness;
 - ``GET  /metrics``  → counters + latency histograms (JSON);
 - ``POST /predict``  → ``{"rows": [[...], ...]}`` → labels/uncertainty;
-- ``POST /predict/<name>``  → same, routed by model name;
-- ``POST /feedback[/<name>]`` → ``{"limit": N}`` → labeling queue drain;
-- ``POST /loop/tick`` / ``GET /loop/status`` → drive an attached
-  retraining loop (:meth:`RequestDispatcher.attach_loop`) over the wire.
+- ``POST /predict/<name>``  → same, if ``<name>`` is the served model
+  (404 otherwise);
+- ``POST /feedback[/<name>]`` → ``{"limit": N}`` → labeling queue drain.
 
 Routing, validation, and the error-status contract (400 validation,
 503 shed, 504 timeout, 404 unknown route, 500 other serve failures)
@@ -32,7 +31,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..exceptions import ValidationError
-from .router import ModelRouter, RequestDispatcher
+from .router import RequestDispatcher
 from .service import ServeService
 
 __all__ = ["ServeHTTPServer", "serve_http"]
@@ -112,11 +111,11 @@ def parse_json_body(raw: bytes) -> dict:
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` bound to one service or router."""
+    """A :class:`ThreadingHTTPServer` bound to one service."""
 
     daemon_threads = True
 
-    def __init__(self, service: ServeService | ModelRouter, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, service: ServeService, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _Handler)
         self.service = service
         self.dispatcher = RequestDispatcher(service)
@@ -152,7 +151,7 @@ class ServeHTTPServer(ThreadingHTTPServer):
 
 
 def serve_http(
-    service: ServeService | ModelRouter, host: str = "127.0.0.1", port: int = 0
+    service: ServeService, host: str = "127.0.0.1", port: int = 0
 ) -> ServeHTTPServer:
     """Bind and background-start an HTTP server for ``service``.
 

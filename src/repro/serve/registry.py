@@ -16,8 +16,9 @@ Storage splits responsibilities the same way the runtime does:
   integrity-checkable;
 - **names** live in a single ``manifest.json`` mapping model name →
   version → artifact key plus summary metadata, rewritten atomically
-  (temp file + ``os.replace``) so a crash never leaves a half-written
-  manifest and readers always see a complete one.
+  (:func:`~repro.runtime.cache.write_atomic`: a unique temp file +
+  ``os.replace``) so a crash or a concurrent writer never leaves a
+  half-written manifest and readers always see a complete one.
 
 Versions are monotonically increasing integers per name.  ``promote``
 flips which version serves (recording the previous one), and
@@ -42,7 +43,7 @@ import numpy as np
 from ..core.feedback import AleFeedback, FeedbackReport, within_ale_committee
 from ..exceptions import RegistryError, ValidationError
 from ..featurespace import FeatureDomain
-from ..runtime.cache import ArtifactCache
+from ..runtime.cache import ArtifactCache, write_atomic
 
 __all__ = ["ModelBundle", "ModelRegistry", "default_registry_dir"]
 
@@ -134,19 +135,8 @@ class ModelRegistry:
         return manifest
 
     def _write_manifest(self, manifest: dict[str, Any]) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.manifest_path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, self.manifest_path)
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        write_atomic(self.manifest_path, text.encode("utf-8"))
 
     def _entry(self, manifest: dict[str, Any], name: str) -> dict[str, Any]:
         entry = manifest["models"].get(name)
@@ -273,51 +263,6 @@ class ModelRegistry:
         entry["promoted"] = previous
         self._write_manifest(manifest)
         return int(previous)
-
-    # -- canary traffic splits --------------------------------------------
-
-    def set_canary(self, name: str, version: int, weight: float) -> None:
-        """Route a ``weight`` fraction of ``name``'s predict traffic to ``version``.
-
-        The split is manifest state, not process state: a router built
-        via :meth:`~repro.serve.router.ModelRouter.from_registry` reads
-        it at startup and serves the promoted version as primary with
-        ``version`` as the weighted canary.  Traffic selection at serve
-        time is a deterministic error-accumulator (no RNG), so the same
-        request sequence always splits the same way.
-
-        Parameters
-        ----------
-        name:
-            Registered model name.
-        version:
-            The candidate version to receive canary traffic; must be
-            registered (promotion not required — that is the point).
-        weight:
-            Fraction of predict traffic in ``(0, 1)`` sent to the canary.
-        """
-        if not 0.0 < weight < 1.0:
-            raise ValidationError(f"canary weight must be in (0, 1), got {weight}")
-        manifest = self._read_manifest()
-        entry = self._entry(manifest, name)
-        if str(version) not in entry["versions"]:
-            raise RegistryError(
-                f"cannot canary {name!r} v{version}: versions: {sorted(map(int, entry['versions']))}"
-            )
-        entry["canary"] = {"version": int(version), "weight": float(weight)}
-        self._write_manifest(manifest)
-
-    def clear_canary(self, name: str) -> None:
-        """Remove ``name``'s canary split (all traffic back to promoted)."""
-        manifest = self._read_manifest()
-        entry = self._entry(manifest, name)
-        if entry.pop("canary", None) is not None:
-            self._write_manifest(manifest)
-
-    def canary(self, name: str) -> dict[str, Any] | None:
-        """The active canary split for ``name``: ``{"version", "weight"}`` or ``None``."""
-        split = self._entry(self._read_manifest(), name).get("canary")
-        return dict(split) if split is not None else None
 
     # -- maintenance -------------------------------------------------------
 

@@ -1,41 +1,23 @@
-"""Multi-model routing and the transport-shared request dispatcher.
+"""The transport-shared request dispatcher.
 
-Two pieces that together let one HTTP listener serve many registered
-models:
-
-- :class:`ModelRouter` maps model names to per-model
-  :class:`~repro.serve.service.ServeService` instances (each with its own
-  micro-batching engine and bounded queue, so one hot model shedding
-  cannot starve another) and optionally splits a name's predict traffic
-  between the promoted *primary* and a weighted *canary* version.  The
-  split is read from the registry manifest
-  (:meth:`~repro.serve.registry.ModelRegistry.set_canary`) and selection
-  is a deterministic error-accumulator — ``weight`` is added per request
-  and the canary serves on overflow — so a traffic trace splits
-  identically on every run (RL001: no serving-path randomness).
-
-- :class:`RequestDispatcher` is the one place HTTP semantics live: route
-  parsing (``/predict``, ``/predict/<name>``, ``/feedback[/<name>]``,
-  ``/healthz``, ``/metrics``), payload validation, and the typed-error →
-  status mapping (400/404/503/504/500).  Both the threaded and the async
-  transport call into it, so the two servers cannot drift apart — the
-  transport-equivalence tests assert their payloads are *bitwise*
-  identical, and sharing this object is why that holds.
+:class:`RequestDispatcher` is the one place HTTP semantics live: route
+parsing (``/predict``, ``/predict/<name>``, ``/feedback[/<name>]``,
+``/healthz``, ``/metrics``), payload validation, and the typed-error →
+status mapping (400/404/503/504/500) for the one
+:class:`~repro.serve.service.ServeService` a listener serves.  Both the
+threaded and the async transport call into it, so the two servers cannot
+drift apart — the transport-equivalence tests assert their payloads are
+*bitwise* identical, and sharing this object is why that holds.
 """
 
 from __future__ import annotations
 
-import threading
-from pathlib import Path
 from typing import Any
 
 from ..exceptions import BackpressureError, RequestTimeoutError, ServeError, ValidationError
-from ..runtime.clock import Deadline
-from .engine import ServeConfig
-from .registry import ModelRegistry
 from .service import ServeService
 
-__all__ = ["ModelRouter", "RequestDispatcher"]
+__all__ = ["RequestDispatcher"]
 
 
 class RouteNotFound(Exception):
@@ -45,173 +27,6 @@ class RouteNotFound(Exception):
     escapes the dispatcher/transport layer; it only carries the 404
     message between route parsing and response rendering.
     """
-
-
-class _Route:
-    """One model name's serving state: a primary and an optional canary."""
-
-    __slots__ = ("primary", "canary", "weight", "canary_version", "_accumulator", "_lock")
-
-    def __init__(self, primary: ServeService):
-        self.primary = primary
-        self.canary: ServeService | None = None
-        self.weight = 0.0
-        self.canary_version: int | None = None
-        self._accumulator = 0.0
-        self._lock = threading.Lock()
-
-    def pick(self) -> ServeService:
-        """Deterministically pick primary or canary for the next request."""
-        with self._lock:
-            if self.canary is None:
-                return self.primary
-            self._accumulator += self.weight
-            if self._accumulator >= 1.0 - 1e-12:
-                self._accumulator -= 1.0
-                return self.canary
-            return self.primary
-
-
-class ModelRouter:
-    """Routes named predict/feedback traffic across per-model services.
-
-    Parameters
-    ----------
-    services:
-        Mapping of model name → :class:`ServeService`.  Each service
-        keeps its own engine, queue, and metrics; the router only
-        decides which one a request reaches.
-    """
-
-    def __init__(self, services: dict[str, ServeService]):
-        if not services:
-            raise ValidationError("ModelRouter needs at least one service")
-        self._routes = {name: _Route(service) for name, service in services.items()}
-
-    @classmethod
-    def from_registry(
-        cls,
-        names: list[str] | None = None,
-        *,
-        directory: Path | str | None = None,
-        config: ServeConfig | None = None,
-    ) -> "ModelRouter":
-        """Build a router serving every named model's promoted version.
-
-        ``names=None`` serves everything registered.  A manifest canary
-        split (:meth:`ModelRegistry.set_canary`) becomes a live weighted
-        canary service for that name.
-        """
-        registry = ModelRegistry(directory)
-        if names is None:
-            names = registry.names()
-        router = cls(
-            {
-                name: ServeService.from_registry(name, directory=directory, config=config)
-                for name in names
-            }
-        )
-        for name in names:
-            split = registry.canary(name)
-            if split is not None:
-                canary = ServeService.from_registry(
-                    name, directory=directory, version=split["version"], config=config
-                )
-                router.set_canary(name, canary, split["weight"])
-        return router
-
-    # -- routing -----------------------------------------------------------
-
-    def _route(self, name: str | None) -> _Route:
-        if name is None:
-            if len(self._routes) == 1:
-                return next(iter(self._routes.values()))
-            raise RouteNotFound(
-                f"bare /predict is ambiguous with {len(self._routes)} models; "
-                f"use /predict/<name> with one of {sorted(self._routes)}"
-            )
-        route = self._routes.get(name)
-        if route is None:
-            raise RouteNotFound(f"no model route {name!r}; serving: {sorted(self._routes)}")
-        return route
-
-    def pick(self, name: str | None = None) -> ServeService:
-        """The service that handles the next predict for ``name`` (canary-aware)."""
-        return self._route(name).pick()
-
-    def primary(self, name: str | None = None) -> ServeService:
-        """The primary (promoted) service for ``name`` — feedback/admin traffic."""
-        return self._route(name).primary
-
-    def names(self) -> list[str]:
-        return sorted(self._routes)
-
-    # -- canary lifecycle --------------------------------------------------
-
-    def set_canary(self, name: str, service: ServeService, weight: float) -> None:
-        """Start splitting ``weight`` of ``name``'s predict traffic to ``service``."""
-        if not 0.0 < weight < 1.0:
-            raise ValidationError(f"canary weight must be in (0, 1), got {weight}")
-        route = self._route(name)
-        route.canary = service
-        route.canary_version = service.version
-        route.weight = float(weight)
-
-    def clear_canary(self, name: str) -> ServeService | None:
-        """Stop the split; returns the detached canary service (caller closes)."""
-        route = self._route(name)
-        canary, route.canary = route.canary, None
-        route.weight = 0.0
-        route.canary_version = None
-        return canary
-
-    # -- aggregate views ---------------------------------------------------
-
-    def healthz(self) -> dict[str, Any]:
-        models = {}
-        for name in sorted(self._routes):
-            route = self._routes[name]
-            health = route.primary.healthz()
-            if route.canary is not None:
-                health["canary"] = {"version": route.canary_version, "weight": route.weight}
-            models[name] = health
-        return {"status": "ok", "models": models}
-
-    def metrics(self) -> dict[str, Any]:
-        models = {}
-        for name in sorted(self._routes):
-            route = self._routes[name]
-            entry: dict[str, Any] = {"primary": route.primary.metrics()}
-            if route.canary is not None:
-                entry["canary"] = route.canary.metrics()
-                entry["canary_weight"] = route.weight
-                entry["canary_version"] = route.canary_version
-            models[name] = entry
-        return {"models": models}
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def quiesce(self, timeout: float | None = None) -> bool:
-        """Quiesce every service (primaries and canaries) within ``timeout``."""
-        deadline = Deadline(timeout)
-        done = True
-        for route in self._routes.values():
-            done = route.primary.quiesce(deadline.remaining()) and done
-            if route.canary is not None:
-                done = route.canary.quiesce(deadline.remaining()) and done
-        return done
-
-    def close(self) -> None:
-        for route in self._routes.values():
-            route.primary.close()
-            if route.canary is not None:
-                route.canary.close()
-
-    def __enter__(self) -> "ModelRouter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 #: Typed-error → HTTP status, most specific first (the response contract).
@@ -226,44 +41,27 @@ _ERROR_STATUS = (
 class RequestDispatcher:
     """HTTP semantics — routing, validation, error mapping — sans sockets.
 
-    ``target`` is either one :class:`ServeService` (single-model, the
-    PR-5 surface) or a :class:`ModelRouter` (multi-model with canary
-    splits).  Transports hand paths and parsed JSON in and get
-    ``(status, payload)`` out; they never interpret errors themselves.
+    ``target`` is the one :class:`ServeService` the listener serves.
+    Transports hand paths and parsed JSON in and get ``(status,
+    payload)`` out; they never interpret errors themselves.
     """
 
-    def __init__(self, target: ServeService | ModelRouter):
+    def __init__(self, target: ServeService):
         self.target = target
-        self.loop: Any | None = None
-
-    def attach_loop(self, loop: Any) -> None:
-        """Expose a retraining loop (``tick()``/``status()``) over the wire.
-
-        Duck-typed on purpose: the serve layer sits *below*
-        :mod:`repro.loop` in the import DAG, so the loop object arrives
-        from above and the dispatcher only calls its two JSON-shaped
-        methods.  Attached on the dispatcher — not a transport — so the
-        threaded and async servers expose identical ``/loop/*`` routes.
-        """
-        self.loop = loop
 
     # -- route/payload parsing (shared by both transports) -----------------
 
     def parse_post_route(self, path: str) -> tuple[str, str | None]:
-        """``/predict[/<name>]``, ``/feedback[/<name>]``, ``/loop/tick`` → ``(kind, name)``."""
+        """``/predict[/<name>]`` or ``/feedback[/<name>]`` → ``(kind, name)``."""
         parts = path.rstrip("/").split("/")
         if len(parts) == 2 and parts[1] in ("predict", "feedback"):
             return parts[1], None
-        if len(parts) == 3 and parts[1] == "loop" and parts[2] == "tick":
-            return "loop", None
         if len(parts) == 3 and parts[1] in ("predict", "feedback") and parts[2]:
             return parts[1], parts[2]
         raise RouteNotFound(f"no route {path!r}")
 
-    def service_for(self, name: str | None, *, pick: bool = False) -> ServeService:
-        """Resolve a model name to a service; canary-aware when ``pick``."""
-        if isinstance(self.target, ModelRouter):
-            return self.target.pick(name) if pick else self.target.primary(name)
+    def service_for(self, name: str | None) -> ServeService:
+        """The served service, if ``name`` is absent or names its model."""
         if name is not None and name != self.target.bundle.name:
             raise RouteNotFound(f"no model route {name!r}; serving: [{self.target.bundle.name!r}]")
         return self.target
@@ -278,7 +76,7 @@ class RequestDispatcher:
     @staticmethod
     def limit_of(payload: dict) -> int | None:
         limit = payload.get("limit")
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
+        if limit is not None and (type(limit) is not int or limit < 0):
             raise ValidationError(f'"limit" must be a non-negative integer, got {limit!r}')
         return limit
 
@@ -301,8 +99,6 @@ class RequestDispatcher:
             return 200, self.target.healthz()
         if path == "/metrics":
             return 200, self.target.metrics()
-        if path == "/loop/status" and self.loop is not None:
-            return 200, self.loop.status()
         return self.not_found(f"no route {path!r}")
 
     def post(self, path: str, payload: dict) -> tuple[int, dict]:
@@ -311,11 +107,7 @@ class RequestDispatcher:
             kind, name = self.parse_post_route(path)
             if kind == "predict":
                 rows = self.rows_of(payload)
-                return 200, self.service_for(name, pick=True).predict(rows)
-            if kind == "loop":
-                if self.loop is None:
-                    raise RouteNotFound("no retraining loop attached to this server")
-                return 200, self.loop.tick()
+                return 200, self.service_for(name).predict(rows)
             limit = self.limit_of(payload)
             return 200, self.service_for(name).feedback(limit)
         except RouteNotFound as error:

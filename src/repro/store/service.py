@@ -108,43 +108,48 @@ class StoreService:
 
     # -- reads -------------------------------------------------------------
 
-    def open_blob(self, key: str) -> tuple[BinaryIO, int, str]:
-        """``(handle, size, sha256)`` for streaming one blob out.
+    def _open_hashed(self, key: str) -> tuple[BinaryIO, int, str]:
+        """``(handle, size, sha256)`` of one entry, hashed in ``CHUNK_BYTES`` chunks.
 
-        The handle is open and rewound; the digest was computed over it
-        *through that same handle*, so even if the entry is concurrently
-        replaced or pruned, the caller streams exactly the bytes that
-        were hashed (POSIX keeps an open file alive past unlink).
-        Raises ``KeyError`` when absent.
+        The handle is open and rewound.  Counts nothing; raises
+        ``KeyError`` when absent.
         """
         self._check_open()
         self.validate_key(key)
         try:
             handle = open(self.cache.path_for(key), "rb")
         except OSError:
-            self.metrics_registry.counter("fetch_misses").inc()
             raise KeyError(key) from None
         h = hashlib.sha256()
         size = 0
-        while True:
-            chunk = handle.read(CHUNK_BYTES)
-            if not chunk:
-                break
+        while chunk := handle.read(CHUNK_BYTES):
             h.update(chunk)
             size += len(chunk)
         handle.seek(0)
-        self.metrics_registry.counter("fetches").inc()
-        self.metrics_registry.histogram("fetch_bytes").observe(size)
         return handle, size, h.hexdigest()
 
+    def open_blob(self, key: str) -> tuple[BinaryIO, int, str]:
+        """``(handle, size, sha256)`` for streaming one blob out.
+
+        The digest was computed over the returned handle itself, so even
+        if the entry is concurrently replaced or pruned, the caller
+        streams exactly the bytes that were hashed (POSIX keeps an open
+        file alive past unlink).  Raises ``KeyError`` when absent.
+        """
+        try:
+            handle, size, digest = self._open_hashed(key)
+        except KeyError:
+            self.metrics_registry.counter("fetch_misses").inc()
+            raise
+        self.metrics_registry.counter("fetches").inc()
+        self.metrics_registry.histogram("fetch_bytes").observe(size)
+        return handle, size, digest
+
     def stat_key(self, key: str) -> dict[str, Any]:
-        """Size and digest of one entry without counting a fetch."""
-        self._check_open()
-        self.validate_key(key)
-        blob = self.cache.read_blob(key)
-        if blob is None:
-            raise KeyError(key)
-        return {"key": key, "bytes": len(blob), "sha256": blob_digest(blob)}
+        """Size and digest of one entry without buffering it or counting a fetch."""
+        handle, size, digest = self._open_hashed(key)
+        handle.close()
+        return {"key": key, "bytes": size, "sha256": digest}
 
     # -- writes ------------------------------------------------------------
 

@@ -103,7 +103,7 @@ def served_scream_registry(tmp_path_factory, fitted_automl, scream_data):
     """A session registry with the shared ensemble as ``scream`` v1.
 
     Read-only by contract: tests that mutate manifest state (promotion,
-    canary splits) must build their own registry in a tmp_path.
+    rollback) must build their own registry in a tmp_path.
     """
     from repro.serve import ModelRegistry
 

@@ -1,30 +1,29 @@
-"""Tests for repro.serve.router — multi-model routing and canary splits.
+"""Tests for repro.serve.router — the transport-shared request dispatcher.
 
-Covers the three promises the router makes:
-
-1. **Deterministic canary selection** — the error-accumulator split is a
-   pure function of request order and weight (no serving-path
-   randomness), so a weight-0.25 canary serves exactly every 4th
-   request, replayed identically.
-2. **Manifest round-trip** — ``ModelRegistry.set_canary`` persists the
-   split, survives a fresh registry instance, and
-   ``ModelRouter.from_registry`` turns it into a live weighted route.
-3. **Dispatcher contract** — route parsing, payload validation, and the
-   typed-error → status mapping that both transports share.
+Covers the dispatcher's contract for the one service a listener serves:
+route parsing, payload validation, and the typed-error → status mapping
+that both transports share.  Malformed ``rows`` bodies get a typed 400
+on real sockets (and leave the event-loop transport serving), and a
+Hypothesis fuzzer checks that no JSON body on any path escapes the
+status contract.
 """
 
+import http.client
+import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import (
     BackpressureError,
-    RegistryError,
     RequestTimeoutError,
     ServeError,
     ValidationError,
 )
-from repro.serve import ModelRegistry, ModelRouter, RequestDispatcher, ServeConfig, ServeService
+from repro.serve import RequestDispatcher, ServeConfig, ServeService, serve_async_http, serve_http
+from repro.serve.http import parse_json_body
 from repro.serve.router import RouteNotFound
 
 
@@ -36,154 +35,6 @@ def _stub_service(version=1, name="m"):
         healthz=lambda: {"status": "ok", "version": version},
         metrics=lambda: {"counters": {"requests": 0}},
     )
-
-
-@pytest.fixture(scope="module")
-def canary_registry(tmp_path_factory, fitted_automl, scream_data):
-    """A registry with two versions of ``m`` (v2 promoted)."""
-    registry = ModelRegistry(tmp_path_factory.mktemp("canary-registry"))
-    registry.register("m", fitted_automl, scream_data.X, scream_data.domains)
-    registry.register("m", fitted_automl, scream_data.X, scream_data.domains)
-    assert registry.promoted_version("m") == 2
-    return registry
-
-
-class TestRouterPick:
-    def test_no_canary_always_primary(self):
-        primary = _stub_service()
-        router = ModelRouter({"m": primary})
-        assert all(router.pick("m") is primary for _ in range(10))
-
-    def test_quarter_weight_canary_serves_every_fourth(self):
-        primary, canary = _stub_service(1), _stub_service(2)
-        router = ModelRouter({"m": primary})
-        router.set_canary("m", canary, 0.25)
-        picks = [router.pick("m") for _ in range(8)]
-        # Accumulator fires on overflow: requests 4 and 8 hit the canary.
-        assert picks == [primary, primary, primary, canary] * 2
-
-    def test_split_is_replay_identical(self):
-        def sequence():
-            primary, canary = _stub_service(1), _stub_service(2)
-            router = ModelRouter({"m": primary})
-            router.set_canary("m", canary, 0.3)
-            return ["c" if router.pick("m") is canary else "p" for _ in range(50)]
-
-        first = sequence()
-        assert first == sequence()
-        assert first.count("c") == 15  # 0.3 * 50, exactly
-
-    def test_weight_bounds_validated(self):
-        router = ModelRouter({"m": _stub_service()})
-        for weight in (0.0, 1.0, -0.1, 2.0):
-            with pytest.raises(ValidationError, match="canary weight"):
-                router.set_canary("m", _stub_service(2), weight)
-
-    def test_clear_canary_returns_detached_service(self):
-        primary, canary = _stub_service(1), _stub_service(2)
-        router = ModelRouter({"m": primary})
-        router.set_canary("m", canary, 0.5)
-        assert router.clear_canary("m") is canary
-        assert all(router.pick("m") is primary for _ in range(4))
-        assert router.clear_canary("m") is None  # idempotent
-
-    def test_bare_predict_ambiguous_with_many_models(self):
-        router = ModelRouter({"a": _stub_service(name="a"), "b": _stub_service(name="b")})
-        with pytest.raises(RouteNotFound, match="ambiguous"):
-            router.pick(None)
-        with pytest.raises(RouteNotFound, match="no model route 'nope'"):
-            router.pick("nope")
-        # A single-model router keeps the PR-5 bare-path behaviour.
-        single = ModelRouter({"a": _stub_service(name="a")})
-        assert single.pick(None) is single.primary("a")
-
-    def test_needs_at_least_one_service(self):
-        with pytest.raises(ValidationError, match="at least one"):
-            ModelRouter({})
-
-    def test_names_and_views(self):
-        router = ModelRouter({"b": _stub_service(name="b"), "a": _stub_service(name="a")})
-        assert router.names() == ["a", "b"]
-        router.set_canary("a", _stub_service(7), 0.1)
-        health = router.healthz()
-        assert health["status"] == "ok"
-        assert health["models"]["a"]["canary"] == {"version": 7, "weight": 0.1}
-        assert "canary" not in health["models"]["b"]
-        metrics = router.metrics()
-        assert metrics["models"]["a"]["canary_weight"] == 0.1
-        assert metrics["models"]["a"]["canary_version"] == 7
-        assert set(metrics["models"]["b"]) == {"primary"}
-
-
-class TestRegistryCanaryManifest:
-    def test_round_trip_and_persistence(self, canary_registry):
-        canary_registry.set_canary("m", 1, 0.2)
-        assert canary_registry.canary("m") == {"version": 1, "weight": 0.2}
-        # A fresh instance reads the same manifest off disk.
-        fresh = ModelRegistry(canary_registry.directory)
-        assert fresh.canary("m") == {"version": 1, "weight": 0.2}
-        fresh.clear_canary("m")
-        assert fresh.canary("m") is None
-        assert ModelRegistry(canary_registry.directory).canary("m") is None
-
-    def test_validation(self, canary_registry):
-        with pytest.raises(ValidationError, match="weight"):
-            canary_registry.set_canary("m", 1, 1.5)
-        with pytest.raises(RegistryError):
-            canary_registry.set_canary("m", 99, 0.2)
-        with pytest.raises(RegistryError):
-            canary_registry.set_canary("ghost", 1, 0.2)
-
-
-class TestRouterFromRegistry:
-    def test_manifest_split_becomes_live_canary(self, canary_registry):
-        canary_registry.set_canary("m", 1, 0.5)
-        try:
-            router = ModelRouter.from_registry(
-                directory=canary_registry.directory,
-                config=ServeConfig(max_batch=8),
-            )
-            try:
-                assert router.names() == ["m"]
-                assert router.primary("m").version == 2
-                picks = [router.pick("m").version for _ in range(4)]
-                assert picks == [2, 1, 2, 1]  # weight 0.5: every 2nd request
-                assert router.healthz()["models"]["m"]["canary"]["version"] == 1
-            finally:
-                router.close()
-        finally:
-            canary_registry.clear_canary("m")
-
-    def test_no_split_means_primary_only(self, canary_registry):
-        router = ModelRouter.from_registry(
-            ["m"],
-            directory=canary_registry.directory,
-            config=ServeConfig(max_batch=8),
-        )
-        with router:
-            assert {router.pick("m").version for _ in range(5)} == {2}
-            assert "canary" not in router.healthz()["models"]["m"]
-
-    def test_canary_predictions_flow(self, canary_registry, scream_data, fitted_automl):
-        """End to end: the canary service really answers its share."""
-        canary_registry.set_canary("m", 1, 0.5)
-        try:
-            with ModelRouter.from_registry(
-                directory=canary_registry.directory,
-                config=ServeConfig(max_batch=8),
-            ) as router:
-                dispatcher = RequestDispatcher(router)
-                rows = scream_data.X[:3].tolist()
-                versions = []
-                for _ in range(4):
-                    status, payload = dispatcher.post("/predict/m", {"rows": rows})
-                    assert status == 200
-                    assert payload["labels"] == fitted_automl.predict(scream_data.X[:3]).tolist()
-                    versions.append(payload["version"])
-                assert versions == [2, 1, 2, 1]
-                assert router.quiesce(5.0)
-        finally:
-            canary_registry.clear_canary("m")
 
 
 class TestRequestDispatcher:
@@ -202,7 +53,7 @@ class TestRequestDispatcher:
         service = _stub_service(name="only")
         dispatcher = RequestDispatcher(service)
         assert dispatcher.service_for(None) is service
-        assert dispatcher.service_for("only", pick=True) is service
+        assert dispatcher.service_for("only") is service
         with pytest.raises(RouteNotFound, match="no model route 'other'"):
             dispatcher.service_for("other")
 
@@ -212,7 +63,7 @@ class TestRequestDispatcher:
         assert RequestDispatcher.rows_of({"rows": [[1.0]]}) == [[1.0]]
         assert RequestDispatcher.limit_of({}) is None
         assert RequestDispatcher.limit_of({"limit": 3}) == 3
-        for bad in (-1, "five", 1.5):
+        for bad in (-1, "five", 1.5, True):
             with pytest.raises(ValidationError, match='"limit"'):
                 RequestDispatcher.limit_of({"limit": bad})
 
@@ -257,80 +108,95 @@ class TestRequestDispatcher:
             assert status == 200 and "candidates" in payload
 
 
-class _StubLoop:
-    """Duck-typed retraining loop: tick()/status(), deterministic payloads."""
-
-    def __init__(self):
-        self.ticks = 0
-
-    def tick(self):
-        self.ticks += 1
-        return {"tick": self.ticks, "promoted": False}
-
-    def status(self):
-        return {"ticks": self.ticks, "state": "idle"}
+def _scream_service(registry) -> ServeService:
+    return ServeService.from_registry(
+        "scream", directory=registry.directory, config=ServeConfig(max_batch=8)
+    )
 
 
-class TestLoopRoutes:
-    """The /loop/tick admin surface, shared by both HTTP transports."""
+def _post(conn: http.client.HTTPConnection, path: str, body: bytes) -> tuple[int, dict]:
+    conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
 
-    def test_parse_loop_tick_route(self):
-        dispatcher = RequestDispatcher(_stub_service())
-        assert dispatcher.parse_post_route("/loop/tick") == ("loop", None)
-        for path in ("/loop", "/loop/tick/extra", "/loop/other"):
-            with pytest.raises(RouteNotFound):
-                dispatcher.parse_post_route(path)
 
-    def test_tick_without_attached_loop_is_404(self):
-        dispatcher = RequestDispatcher(_stub_service())
-        status, payload = dispatcher.post("/loop/tick", {})
-        assert status == 404 and payload["type"] == "NotFound"
-        status, payload = dispatcher.get("/loop/status")
-        assert status == 404  # the route only exists once a loop is attached
+#: Bodies whose rows are not a rectangular array of numbers.
+MALFORMED_ROWS = [
+    b'{"rows": "abc"}',
+    b'{"rows": [[1, 2], [3]]}',
+    b'{"rows": [["x", 1, 2, 3]]}',
+    b'{"rows": {"a": 1}}',
+    ('{"rows": [[' + "9" * 400 + ", 1, 2, 3]]}").encode(),
+]
 
-    def test_attached_loop_ticks_and_reports(self):
-        dispatcher = RequestDispatcher(_stub_service())
-        dispatcher.attach_loop(_StubLoop())
-        assert dispatcher.post("/loop/tick", {}) == (200, {"tick": 1, "promoted": False})
-        assert dispatcher.post("/loop/tick", {}) == (200, {"tick": 2, "promoted": False})
-        assert dispatcher.get("/loop/status") == (200, {"ticks": 2, "state": "idle"})
 
-    def test_transports_serve_identical_loop_routes(self):
-        """POST /loop/tick and GET /loop/status are bitwise-equal on both servers."""
-        import urllib.request
+class TestMalformedRows:
+    """Bad ``rows`` get a typed 400 on real sockets, and serving goes on."""
 
-        from repro.serve import serve_async_http, serve_http
-
-        def exchange(url, method, path, body=None):
-            request = urllib.request.Request(
-                url + path, data=body, method=method,
-                headers={"Content-Type": "application/json"} if body else {},
-            )
+    @pytest.mark.parametrize("factory", [serve_http, serve_async_http], ids=["threaded", "async"])
+    def test_bad_rows_are_400_and_the_server_keeps_serving(
+        self, factory, served_scream_registry, scream_data
+    ):
+        server = factory(_scream_service(served_scream_registry))
+        host, port = server.url.split("//", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+        try:
+            for body in MALFORMED_ROWS:
+                status, payload = _post(conn, "/predict", body)
+                assert status == 400, body
+                assert payload["type"] == "ValidationError", body
+            fresh = http.client.HTTPConnection(host, int(port), timeout=5.0)
             try:
-                with urllib.request.urlopen(request, timeout=5.0) as response:
-                    return response.status, response.read()
-            except urllib.error.HTTPError as error:
-                return error.code, error.read()
-
-        transcripts = {}
-        for transport, factory in (("threaded", serve_http), ("async", serve_async_http)):
-            service = SimpleNamespace(
-                healthz=lambda: {"status": "ok"},
-                metrics=lambda: {"counters": {}},
-                quiesce=lambda timeout=None: True,
-                close=lambda: None,
-            )
-            server = factory(service)
-            server.dispatcher.attach_loop(_StubLoop())
-            try:
-                transcripts[transport] = [
-                    exchange(server.url, "POST", "/loop/tick", b"{}"),
-                    exchange(server.url, "POST", "/loop/tick", b"{}"),
-                    exchange(server.url, "GET", "/loop/status"),
-                    exchange(server.url, "POST", "/loop/tick/extra", b"{}"),
-                ]
+                rows = json.dumps({"rows": scream_data.X[:2].tolist()}).encode()
+                status, payload = _post(fresh, "/predict", rows)
             finally:
-                server.close()
-        assert transcripts["threaded"] == transcripts["async"]
-        statuses = [status for status, _ in transcripts["threaded"]]
-        assert statuses == [200, 200, 200, 404]
+                fresh.close()
+            assert status == 200 and payload["model"] == "scream"
+        finally:
+            conn.close()
+            server.close()
+
+    def test_loop_routes_are_gone(self, served_scream_registry):
+        with _scream_service(served_scream_registry) as service:
+            dispatcher = RequestDispatcher(service)
+            assert dispatcher.post("/loop/tick", {})[0] == 404
+            assert dispatcher.get("/loop/status")[0] == 404
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=16,
+)
+_NUMBER_ROWS = st.lists(st.lists(st.floats() | st.integers(), max_size=6), max_size=4)
+_BODIES = _JSON | st.fixed_dictionaries(
+    {}, optional={"rows": _NUMBER_ROWS | _JSON, "limit": st.integers() | _JSON}
+)
+_PATHS = (
+    st.sampled_from(["/predict", "/predict/scream", "/feedback", "/feedback/scream", "/healthz", "/metrics"])
+    | st.builds(lambda head, tail: head + tail, st.sampled_from(["/predict/", "/feedback/", "/", ""]), st.text())
+)
+
+
+def test_dispatcher_answers_every_body_and_path_within_the_contract(served_scream_registry):
+    """Fuzz: any JSON body on any path gets a contract status; nothing raises."""
+    with _scream_service(served_scream_registry) as service:
+        dispatcher = RequestDispatcher(service)
+
+        @settings(max_examples=150, deadline=None)
+        @given(method=st.sampled_from(["GET", "POST"]), path=_PATHS, body=_BODIES)
+        def exchange(method, path, body):
+            if method == "GET":
+                status, payload = dispatcher.get(path)
+            else:
+                try:  # what both transports do with the raw body first
+                    parsed = parse_json_body(json.dumps(body).encode("utf-8"))
+                except ValidationError as error:
+                    status, payload = dispatcher.error_response(error)
+                else:
+                    status, payload = dispatcher.post(path, parsed)
+            assert status in {200, 400, 404, 503, 504}
+            json.dumps(payload)  # every answer must be encodable by a transport
+
+        exchange()

@@ -55,6 +55,7 @@ from repro.store import (
     serve_store_http,
 )
 from repro.store.server import BLOB_SIZE_HEADER
+from repro.store.service import CHUNK_BYTES
 
 
 def _key(tag: str) -> str:
@@ -138,6 +139,24 @@ class TestStoreService:
         ):
             with pytest.raises(StoreUnavailableError, match="shut down"):
                 call()
+
+    def test_stat_key_hashes_the_file_without_buffering_or_counting_a_fetch(self, tmp_path, monkeypatch):
+        service = StoreService(tmp_path)
+        key, blob = _key("stat"), os.urandom(2 * CHUNK_BYTES + 17)
+        _put(service, key, blob, blob_digest(blob))
+
+        def buffered(key):
+            raise AssertionError("stat_key must not buffer the whole blob")
+
+        monkeypatch.setattr(service.cache, "read_blob", buffered)
+        stat = service.stat_key(key)
+        assert service.metrics()["counters"].get("fetches", 0) == 0
+        handle, size, digest = service.open_blob(key)
+        handle.close()
+        assert stat == {"key": key, "bytes": size, "sha256": digest}
+        assert size == len(blob) and digest == blob_digest(blob)
+        with pytest.raises(KeyError):
+            service.stat_key(_key("absent"))
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(blob=st.binary(min_size=0, max_size=4096))
