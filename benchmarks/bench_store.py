@@ -34,7 +34,7 @@ from repro.experiments import Table1Config, run_table1
 from repro.experiments.grid import clear_dataset_memo
 from repro.runtime import ArtifactCache, SerialExecutor, TaskRuntime
 from repro.runtime.clock import Stopwatch
-from repro.store import StoreService, serve_store_http
+from repro.store import RemoteCacheTier, StoreService, serve_store_http
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
         # Remote-warm: empty local cache, every unit fetched from the server.
         server = serve_store_http(StoreService(origin_cache))
         warm_runtime = TaskRuntime(
-            SerialExecutor(), cache=ArtifactCache(work_dir / "warm-local"), store_url=server.url
+            SerialExecutor(), cache=RemoteCacheTier(ArtifactCache(work_dir / "warm-local"), server.url)
         )
         try:
             timings["remote_warm"], all_scores["remote_warm"], executions["remote_warm"], store_metas["remote_warm"] = (
@@ -131,7 +131,8 @@ def main(argv=None) -> int:
         # Store killed mid-session: breaker trips, the grid runs locally.
         dead_server = serve_store_http(StoreService(work_dir / "dead-origin"))
         killed_runtime = TaskRuntime(
-            SerialExecutor(), cache=ArtifactCache(work_dir / "killed-local"), store_url=dead_server.url
+            SerialExecutor(),
+            cache=RemoteCacheTier(ArtifactCache(work_dir / "killed-local"), dead_server.url),
         )
         dead_server.close()
         try:

@@ -111,8 +111,8 @@ def _runtime_from_args(args: argparse.Namespace):
         if args.cache == "refresh":
             raise SystemExit("--resume re-uses cached cells; it cannot be combined with --cache refresh")
         args.cache = "on"  # a resume is exactly a warm rerun against the partial cache
-    store_url = getattr(args, "store", None)
-    if store_url is not None and args.cache == "off":
+    store = getattr(args, "store", None)
+    if store is not None and args.cache == "off":
         args.cache = "on"  # the remote tier layers onto a local cache
     if args.workers == 0 and args.cache == "off":
         return None
@@ -120,7 +120,11 @@ def _runtime_from_args(args: argparse.Namespace):
 
     executor = ProcessExecutor(max_workers=args.workers) if args.workers > 1 else SerialExecutor()
     cache = ArtifactCache(args.cache_dir) if args.cache != "off" else None
-    return TaskRuntime(executor, cache=cache, cache_mode=args.cache, store_url=store_url)
+    if store is not None:
+        from .store import RemoteCacheTier
+
+        cache = RemoteCacheTier(cache, store)
+    return TaskRuntime(executor, cache=cache, cache_mode=args.cache)
 
 
 def _report_runtime(runtime) -> None:

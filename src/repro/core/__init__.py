@@ -11,7 +11,7 @@ Public surface:
 - rendering (:func:`explain_report`, :func:`ascii_ale_plot`).
 """
 
-from .ale import ALECurve, ale_curve, ale_curves_for_features, ale_curves_for_models, make_grid
+from .ale import ALECurve, ale_curve, ale_curves_for_features, make_grid
 from .drift import AleDriftReport, ale_drift
 from .pdp import pdp_curve, pdp_curves_for_models
 from .explanations import ascii_ale_plot, curves_to_csv, explain_report
@@ -29,7 +29,6 @@ __all__ = [
     "ALECurve",
     "ale_curve",
     "ale_curves_for_features",
-    "ale_curves_for_models",
     "make_grid",
     "AleDriftReport",
     "ale_drift",

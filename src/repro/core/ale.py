@@ -37,7 +37,6 @@ __all__ = [
     "make_grid",
     "ale_curve",
     "ale_curves_for_features",
-    "ale_curves_for_models",
 ]
 
 #: Default row bound for one stacked ``predict_proba`` call.  Perturbed
@@ -299,26 +298,3 @@ def ale_curve(
         feature_names=[feature_name] if feature_name is not None else None,
     )
     return curve
-
-
-def ale_curves_for_models(
-    models,
-    X: np.ndarray,
-    feature_index: int,
-    edges: np.ndarray,
-    *,
-    feature_name: str | None = None,
-) -> list[ALECurve]:
-    """ALE curves of several models on a shared grid (committee input).
-
-    Each model's (lo, hi) perturbed copies evaluate in one stacked
-    ``predict_proba`` call (see :func:`ale_curves_for_features`) instead
-    of the historical two passes per model.
-    """
-    models = list(models)
-    if not models:
-        raise ValidationError("need at least one model")
-    return [
-        ale_curve(model, X, feature_index, edges, feature_name=feature_name)
-        for model in models
-    ]

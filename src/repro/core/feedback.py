@@ -230,13 +230,6 @@ class AleFeedback:
         How per-class disagreement collapses to one value per grid point:
         ``'max'`` (default; a feature is confusing if any class is) or
         ``'mean'``.
-    task_mapper:
-        Optional callable ``(fn_name, payloads) -> results`` the
-        per-feature committee curve computation is submitted through —
-        in practice :meth:`repro.runtime.TaskRuntime.named_map`, which
-        parallelizes and caches it.  Kept duck-typed on purpose: ``core``
-        sits below ``runtime`` in the import DAG, so the runtime is
-        injected, never imported.  ``None`` computes inline.
     """
 
     def __init__(
@@ -248,7 +241,6 @@ class AleFeedback:
         class_aggregation: str = "max",
         interpreter: str = "ale",
         threshold_scale: float = 1.0,
-        task_mapper=None,
     ):
         if threshold is not None and threshold < 0:
             raise ValidationError(f"threshold must be >= 0, got {threshold}")
@@ -264,7 +256,6 @@ class AleFeedback:
         self.class_aggregation = class_aggregation
         self.interpreter = interpreter
         self.threshold_scale = threshold_scale
-        self.task_mapper = task_mapper
 
     def analyze(
         self,
@@ -339,29 +330,12 @@ class AleFeedback:
         )
 
     def _committee_curves(self, committee, X, domains, all_edges) -> list:
-        """Per-feature committee curves, via the task mapper when one is set.
+        """Per-feature committee curves, ``[feature][model]``.
 
-        Each feature's curve computation is independent of the others, so
-        with a mapper the features fan out as ``ale.profile`` tasks; the
-        inline path computes the identical thing — batching each model's
-        (lo, hi) perturbed copies across *all* features into a handful of
-        ``predict_proba`` calls (:func:`repro.core.ale.ale_curves_for_features`).
-        Batch composition never changes a row's prediction, so both paths
-        produce bitwise-equal curves.
+        The ALE path batches each model's (lo, hi) perturbed copies across
+        *all* features into a handful of ``predict_proba`` calls
+        (:func:`repro.core.ale.ale_curves_for_features`).
         """
-        if self.task_mapper is not None:
-            payloads = [
-                {
-                    "committee": committee,
-                    "X": X,
-                    "feature_index": index,
-                    "edges": all_edges[index],
-                    "feature_name": domain.name,
-                    "interpreter": self.interpreter,
-                }
-                for index, domain in enumerate(domains)
-            ]
-            return list(self.task_mapper("ale.profile", payloads))
         if self.interpreter == "pdp":
             from .pdp import pdp_curves_for_models
 

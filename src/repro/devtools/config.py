@@ -47,7 +47,7 @@ DEFAULT_LAYERS: dict[str, list[str] | str] = {
     "netsim": ["featurespace", "rng", "exceptions"],
     "core": ["featurespace", "ml", "rng", "exceptions"],
     "automl": ["ml", "rng", "exceptions"],
-    "runtime": ["automl", "core", "featurespace", "ml", "rng", "exceptions"],
+    "runtime": ["rng", "exceptions"],
     "serve": ["automl", "core", "featurespace", "ml", "rng", "exceptions", "runtime"],
     "store": ["exceptions", "runtime", "serve"],
     "active": ["core", "featurespace", "ml", "rng", "exceptions"],

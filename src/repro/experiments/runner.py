@@ -164,7 +164,6 @@ def _analyze_with_fallback(ctx: AugmentationContext, committee) -> "FeedbackRepo
             grid_strategy=ctx.feedback.grid_strategy,
             class_aggregation=ctx.feedback.class_aggregation,
             interpreter=ctx.feedback.interpreter,
-            task_mapper=ctx.feedback.task_mapper,
         )
         report = relaxed.analyze(committee, ctx.train.X, ctx.train.domains)
     return report

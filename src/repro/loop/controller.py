@@ -8,12 +8,13 @@ rather than merely automatic:
   :class:`~repro.serve.MetricsRegistry` already exports.  No clocks, no
   randomness: replaying the same traffic trace triggers at the same
   request.
-- **refit identity** — the retrain runs as one ``loop.retrain`` task
+- **refit identity** — the retrain runs as one ``automl.fit`` task
   under the *fixed* seed path ``(retrain_seed, _RETRAIN_KEY)``.  The
   cache key therefore varies only with the payload — the merged training
-  set, the holdout, the spec — so a re-triggered retrain over identical
-  queue contents is a pure cache hit returning a bitwise-identical
-  model, on any executor.
+  set and the spec — so a re-triggered retrain over identical queue
+  contents is a pure cache hit returning a bitwise-identical model, on
+  any executor.  The candidate is scored on the holdout afterwards, with
+  the same :meth:`RetrainController.score` the incumbent gets.
 """
 
 from __future__ import annotations
@@ -163,23 +164,17 @@ class RetrainController:
         """
         X_aug, y_aug, n_added = merge_labeled(self.X, self.y, X_new, y_new)
         task = Task(
-            "loop.retrain",
-            {
-                "X": X_aug,
-                "y": y_aug,
-                "X_eval": self.X_eval,
-                "y_eval": self.y_eval,
-                "factory": self.spec,
-            },
+            "automl.fit",
+            {"factory": self.spec, "X": X_aug, "y": y_aug},
             seed_path=(self.config.retrain_seed, _RETRAIN_KEY),
             label=f"loop.retrain[+{n_added}]",
         )
-        before = self.runtime.executions_of("loop.retrain")
-        [result] = self.runtime.run([task])
-        refits = self.runtime.executions_of("loop.retrain") - before
+        before = self.runtime.executions_of("automl.fit")
+        [model] = self.runtime.run([task])
+        refits = self.runtime.executions_of("automl.fit") - before
         return RetrainResult(
-            model=result["model"],
-            score=float(result["score"]),
+            model=model,
+            score=self.score(model),
             X=X_aug,
             y=y_aug,
             n_added=n_added,

@@ -38,14 +38,15 @@ class StandardScaler(BaseEstimator):
     """Standardize features to zero mean and unit variance.
 
     Constant columns are left centered but unscaled (divisor forced to 1)
-    so transform never divides by zero.
+    so transform never divides by zero.  So are columns whose variance
+    underflows (std below ``sqrt(tiny)``): their std is inexact.
     """
 
     def fit(self, X, y=None) -> "StandardScaler":
         X = check_array(X)
         self.mean_ = X.mean(axis=0)
         scale = X.std(axis=0)
-        scale[scale == 0.0] = 1.0
+        scale[scale < np.sqrt(np.finfo(np.float64).tiny)] = 1.0
         self.scale_ = scale
         return self
 

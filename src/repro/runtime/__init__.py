@@ -1,7 +1,9 @@
 """Deterministic parallel execution engine with a content-addressed cache.
 
-The substrate the experiment harness schedules on (DESIGN.md §3,
-"runtime" layer).  Three ideas, three modules:
+The substrate the experiment harness and the retraining loop schedule on
+(DESIGN.md §3, "runtime" layer).  It is a bottom layer: it imports only
+``rng`` and ``exceptions``, and everything above reaches it through
+registered task names and an injected cache.  Three ideas, three modules:
 
 - **tasks as data** (:mod:`~repro.runtime.task`): a :class:`Task` names a
   registered function, a picklable payload, and an explicit seed path —
@@ -12,7 +14,7 @@ The substrate the experiment harness schedules on (DESIGN.md §3,
   identical results; the pool degrades gracefully to serial when it
   cannot start or a payload cannot travel;
 - **content-addressed artifacts** (:mod:`~repro.runtime.cache`): fitted
-  ensembles and ALE bundles persist under SHA-256 keys of (function,
+  ensembles, datasets and grid cells persist under SHA-256 keys of (function,
   payload digest, seed path, format salt), with atomic writes and
   corruption-tolerant reads.
 

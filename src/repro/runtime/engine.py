@@ -2,11 +2,10 @@
 
 :class:`TaskRuntime` is what upper layers hold: ``run(tasks)`` answers
 every task — from cache when the artifact exists, from the configured
-executor otherwise — and returns values in task order.  ``named_map`` is
-the same thing as a plain callable ``(fn_name, payloads) -> values``, the
-duck-typed hook :class:`repro.core.feedback.AleFeedback` accepts so the
-``core`` layer can submit work without importing this package (the import
-DAG keeps ``core`` below ``runtime``).
+executor otherwise — and returns values in task order.  The runtime is a
+bottom layer: it imports only ``rng`` and ``exceptions``.  Layers above
+hand it what it needs — task functions register by name, and a remote
+store tier (``repro.store.RemoteCacheTier``) is passed in as ``cache``.
 
 Cache modes:
 
@@ -18,11 +17,9 @@ Cache modes:
 
 from __future__ import annotations
 
-import importlib
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from ..exceptions import ValidationError
-from ..rng import SeedPath
 from .cache import ArtifactCache, task_key
 from .executors import ProcessExecutor, SerialExecutor, TaskOutcome
 from .task import Task
@@ -42,19 +39,13 @@ class TaskRuntime:
         anything with the same ``run(tasks, timeout=..., retries=...)``
         contract works.
     cache:
-        An :class:`ArtifactCache`, or ``None`` for no caching.
+        An :class:`ArtifactCache` (or a ``repro.store.RemoteCacheTier``
+        wrapping one), or ``None`` for no caching.
     cache_mode:
         ``"on"``, ``"off"`` or ``"refresh"`` (see module docstring).
     timeout, retries:
         Per-task attempt budget in seconds (``None`` = unbounded) and the
         number of deterministic-seed retries after a failed attempt.
-    store_url:
-        Base URL of a :mod:`repro.store` artifact server.  When given
-        (requires ``cache``), the local cache is wrapped in a
-        ``RemoteCacheTier``: misses try the peer before executing and
-        fresh results are pushed back.  The tier is resolved by module
-        *name* — mirroring :func:`~repro.runtime.task.resolve_task` — so
-        this layer never imports the ``store`` layer above it.
     """
 
     def __init__(
@@ -65,7 +56,6 @@ class TaskRuntime:
         cache_mode: str = "on",
         timeout: float | None = None,
         retries: int = 0,
-        store_url: str | None = None,
     ):
         if cache_mode not in CACHE_MODES:
             raise ValidationError(f"cache_mode must be one of {CACHE_MODES}, got {cache_mode!r}")
@@ -74,11 +64,6 @@ class TaskRuntime:
         self.cache_mode = cache_mode if cache is not None else "off"
         self.timeout = timeout
         self.retries = retries
-        if store_url is not None:
-            if cache is None:
-                raise ValidationError("store_url requires a local cache (the remote tier installs into it)")
-            tier_cls = importlib.import_module("repro.store.client").RemoteCacheTier
-            self.cache = tier_cls(cache, store_url)
         self.reset_stats()
 
     # -- bookkeeping -------------------------------------------------------
@@ -162,36 +147,6 @@ class TaskRuntime:
     def run_one(self, task: Task) -> Any:
         """Convenience wrapper: ``run([task])[0]``."""
         return self.run([task])[0]
-
-    def named_map(
-        self,
-        fn_name: str,
-        payloads: Sequence[dict],
-        seed_paths: Sequence[SeedPath] | None = None,
-        label: str = "",
-    ) -> list[Any]:
-        """The duck-typed mapper upper/lower layers share.
-
-        Builds one task per payload (all under ``fn_name``) and runs them.
-        ``seed_paths`` defaults to seedless (deterministic) tasks.
-        """
-        payloads = list(payloads)
-        if seed_paths is None:
-            seed_paths = [()] * len(payloads)
-        if len(seed_paths) != len(payloads):
-            raise ValidationError(
-                f"{len(payloads)} payloads but {len(seed_paths)} seed paths"
-            )
-        tasks = [
-            Task(
-                fn_name=fn_name,
-                payload=payload,
-                seed_path=tuple(path),
-                label=f"{label or fn_name}[{index}]",
-            )
-            for index, (payload, path) in enumerate(zip(payloads, seed_paths))
-        ]
-        return self.run(tasks)
 
 
 def default_runtime() -> TaskRuntime:

@@ -7,6 +7,10 @@ import time; :func:`repro.runtime.task.execute_attempt` imports this
 module, so a freshly spawned worker process sees the same registry as the
 submitting process.
 
+``automl.fit`` serves the grid's fits and the retraining loop's refit;
+its estimator factory travels in the payload, so nothing here imports
+a layer above the runtime.
+
 The ``probe.*`` family exists for diagnostics and fault-injection tests:
 cheap, dependency-free tasks that exercise the seed-path, retry, and
 timeout machinery without dragging an AutoML fit into every test.
@@ -23,13 +27,10 @@ from __future__ import annotations
 import time
 from typing import Any, Mapping
 
-import numpy as np
-
-from ..core.ale import ale_curves_for_models
 from ..exceptions import ValidationError
 from .task import TaskContext, task
 
-__all__ = ["automl_fit", "ale_profile", "loop_retrain"]
+__all__ = ["automl_fit"]
 
 
 @task("automl.fit")
@@ -46,60 +47,6 @@ def automl_fit(payload: Mapping[str, Any], ctx: TaskContext) -> Any:
         raise ValidationError("automl.fit needs a seed path (AutoML search is stochastic)")
     factory = payload["factory"]
     return factory(ctx.rng).fit(payload["X"], payload["y"])
-
-
-@task("ale.profile")
-def ale_profile(payload: Mapping[str, Any], ctx: TaskContext) -> Any:
-    """Compute one feature's committee interpretation curves.
-
-    Payload: ``committee`` (fitted models), ``X``, ``feature_index``,
-    ``edges``, ``feature_name``, and ``interpreter`` (``"ale"``/``"pdp"``).
-    Deterministic — no seed path needed.  The ALE path stacks each
-    model's (lo, hi) perturbed copies into one ``predict_proba`` call
-    (:func:`repro.core.ale.ale_curves_for_models` batches internally),
-    bitwise-equal to the historical two-pass computation.
-    """
-    interpreter = payload.get("interpreter", "ale")
-    if interpreter == "pdp":
-        from ..core.pdp import pdp_curves_for_models
-
-        compute = pdp_curves_for_models
-    elif interpreter == "ale":
-        compute = ale_curves_for_models
-    else:
-        raise ValidationError(f"interpreter must be 'ale' or 'pdp', got {interpreter!r}")
-    return compute(
-        payload["committee"],
-        payload["X"],
-        payload["feature_index"],
-        payload["edges"],
-        feature_name=payload["feature_name"],
-    )
-
-
-@task("loop.retrain")
-def loop_retrain(payload: Mapping[str, Any], ctx: TaskContext) -> Any:
-    """Refit on an augmented training set and score the result.
-
-    The retraining loop's one expensive step, shaped for the cache: the
-    payload carries the *merged* training set (base data plus drained
-    labels, merged deterministically upstream), an evaluation holdout,
-    and a picklable ``factory``.  Because the loop submits this under a
-    fixed seed path, the cache key varies only with the payload — a
-    re-triggered retrain over identical queue contents is a pure cache
-    hit, and the returned model is bitwise-identical.
-
-    Returns ``{"model": fitted, "score": float}`` where ``score`` is
-    mean accuracy on the holdout (the incumbent is scored on the same
-    holdout by the promotion gate, so the comparison is apples-to-apples).
-    """
-    if ctx.rng is None:
-        raise ValidationError("loop.retrain needs a seed path (AutoML search is stochastic)")
-    factory = payload["factory"]
-    fitted = factory(ctx.rng).fit(payload["X"], payload["y"])
-    predictions = np.asarray(fitted.predict(payload["X_eval"]))
-    score = float(np.mean(predictions == np.asarray(payload["y_eval"])))
-    return {"model": fitted, "score": score}
 
 
 # -- probes (diagnostics & fault injection) --------------------------------

@@ -183,30 +183,39 @@ class AsyncHTTPServer:
         sel.register(self._listener, selectors.EVENT_READ, "listener")
         sel.register(self._wake_r, selectors.EVENT_READ, "wakeup")
         accepting = True
-        while True:
-            for key, mask in sel.select(self._next_timeout()):
-                if key.data == "listener":
-                    self._accept()
-                elif key.data == "wakeup":
-                    self._drain_wakeups()
-                else:
-                    conn = key.data
-                    if mask & selectors.EVENT_WRITE:
-                        self._flush(conn)
-                    if conn.open and mask & selectors.EVENT_READ:
-                        self._on_read(conn)
-            self._drain_completions()
-            self._expire()
-            if self._closing.is_set():
-                if accepting:
-                    accepting = False
-                    sel.unregister(self._listener)
-                    self._listener.close()
-                if self._drained() or (
-                    self._drain_deadline is not None and self._drain_deadline.exceeded()
-                ):
-                    break
-        self._teardown()
+        try:
+            while True:
+                for key, mask in sel.select(self._next_timeout()):
+                    if key.data == "listener":
+                        self._accept()
+                    elif key.data == "wakeup":
+                        self._drain_wakeups()
+                    else:
+                        conn = key.data
+                        if mask & selectors.EVENT_WRITE:
+                            self._guarded(conn, self._flush)
+                        if conn.open and mask & selectors.EVENT_READ:
+                            self._guarded(conn, self._on_read)
+                self._drain_completions()
+                self._expire()
+                if self._closing.is_set():
+                    if accepting:
+                        accepting = False
+                        sel.unregister(self._listener)
+                        self._listener.close()
+                    if self._drained() or (
+                        self._drain_deadline is not None and self._drain_deadline.exceeded()
+                    ):
+                        break
+        finally:
+            self._teardown()
+
+    def _guarded(self, conn: _Connection, step) -> None:
+        """Run ``step(conn)``; an unexpected error drops that connection, not the loop."""
+        try:
+            step(conn)
+        except Exception:
+            self._close_conn(conn)
 
     def _drained(self) -> bool:
         return all(conn.inflight is None and not conn.wbuf for conn in self._connections)
@@ -428,7 +437,7 @@ class AsyncHTTPServer:
             else:
                 status, payload = 200, render_prediction(inflight.model, inflight.version, pending.result)
             self._respond(conn, status, payload, close=inflight.close_requested)
-            self._parse(conn)  # a pipelined next request may already be buffered
+            self._guarded(conn, self._parse)  # a pipelined next request may already be buffered
 
     def _error_payload(self, error: BaseException) -> tuple[int, dict]:
         try:
@@ -452,7 +461,7 @@ class AsyncHTTPServer:
                     )
                     status, payload = self.dispatcher.error_response(error)
                     self._respond(conn, status, payload, close=inflight.close_requested)
-                    self._parse(conn)
+                    self._guarded(conn, self._parse)
             elif (
                 self.idle_timeout is not None
                 and not conn.wbuf

@@ -73,7 +73,6 @@ class ServeConfig:
     queue_bound: int = 256
     request_timeout: float = 10.0
     disagreement_threshold: float | None = None
-    labeling_queue_capacity: int = 1024
     labeling_snapshot: str | None = None
 
     def __post_init__(self):
@@ -238,7 +237,6 @@ class InferenceEngine:
         self.monitor = UncertaintyMonitor(
             bundle.report,
             disagreement_threshold=self.config.disagreement_threshold,
-            queue_capacity=self.config.labeling_queue_capacity,
             snapshot_path=self.config.labeling_snapshot,
         )
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_bound)
@@ -287,9 +285,14 @@ class InferenceEngine:
         if self._closed.is_set():
             raise ServeError("inference engine is closed")
         try:
-            X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+            X = np.asarray(X)
+            # A float64 cast would parse "1.5" as 1.5: strings are not numbers here.
+            if X.dtype.kind not in "US":
+                X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         except (TypeError, ValueError, OverflowError) as error:
             raise ValidationError(f"request rows must be a rectangular array of numbers: {error}") from error
+        if X.dtype.kind in "US":
+            raise ValidationError(f"request rows must be numbers, got strings ({X.dtype})")
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValidationError(f"requests must be (n_points, n_features) with n_points >= 1, got {X.shape}")
         if X.shape[1] != self.bundle.n_features:

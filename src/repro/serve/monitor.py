@@ -165,8 +165,6 @@ class UncertaintyMonitor:
         Override for the live-disagreement cutoff; default is the
         report's own threshold (the offline and online notions of "too
         much disagreement" coincide unless the operator says otherwise).
-    queue_capacity:
-        Bound on the labeling queue.
     snapshot_path:
         Forwarded to :class:`LabelingQueue` — a JSONL journal path that
         makes the backlog survive restarts.
@@ -177,14 +175,13 @@ class UncertaintyMonitor:
         report: FeedbackReport,
         *,
         disagreement_threshold: float | None = None,
-        queue_capacity: int = 1024,
         snapshot_path: str | None = None,
     ):
         self.report = report
         self.disagreement_threshold = (
             float(disagreement_threshold) if disagreement_threshold is not None else float(report.threshold)
         )
-        self.queue = LabelingQueue(queue_capacity, snapshot_path=snapshot_path)
+        self.queue = LabelingQueue(snapshot_path=snapshot_path)
 
     def evaluate(self, X: np.ndarray, member_stack: np.ndarray) -> dict[str, np.ndarray]:
         """Flag uncertain points in one batch; feed flagged ones to the queue.

@@ -14,7 +14,9 @@ machine's cache with the records provably unchanged.  Three pieces:
   sans sockets) plus the threaded transport with streamed bodies;
 - :mod:`~repro.store.client` — :class:`StoreClient` (urllib wire
   client) and :class:`RemoteCacheTier`, the read-through/write-through
-  peer :class:`~repro.runtime.TaskRuntime` wires in via ``store_url``.
+  wrapper around a local cache; pass
+  ``RemoteCacheTier(ArtifactCache(dir), url)`` to
+  :class:`~repro.runtime.TaskRuntime` as its ``cache``.
 
 ``python -m repro store serve|stat`` exposes the package on the CLI;
 ``--store URL`` on the experiment commands attaches the remote tier.

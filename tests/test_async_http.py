@@ -224,6 +224,29 @@ class TestAsyncRobustness:
             status, _, _ = client.exchange("PUT", "/predict", {"rows": [[0.0]]})
             assert status == 404
 
+    def test_unexpected_handler_error_drops_one_connection_not_the_loop(self, async_server):
+        dispatcher = async_server.dispatcher
+        original = dispatcher.get
+        calls = []
+
+        def raise_once(path):
+            calls.append(path)
+            if len(calls) == 1:
+                raise RuntimeError("injected handler failure")
+            return original(path)
+
+        dispatcher.get = raise_once
+        with _Client(async_server.url, timeout=2.0) as client:
+            client.send_raw(_request_bytes("GET", "/healthz"))
+            assert client.at_eof()  # that connection is dropped...
+        with _Client(async_server.url, timeout=2.0) as client:
+            status, _, _ = client.exchange("GET", "/healthz")
+            assert status == 200  # ...and the loop keeps serving
+        thread = threading.Thread(target=async_server.close)
+        thread.start()
+        thread.join(10.0)
+        assert not thread.is_alive()
+
     def test_idle_connections_are_reaped(self, served_scream_registry):
         service = ServeService.from_registry(
             "scream",

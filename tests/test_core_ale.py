@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ale import ale_curve, ale_curves_for_features, ale_curves_for_models, make_grid
+from repro.core.ale import ale_curve, ale_curves_for_features, make_grid
 from repro.exceptions import ValidationError
 from repro.ml.linear import softmax
 
@@ -174,29 +174,6 @@ class TestAleCurve:
         edges = make_grid(X[:, 0], grid_size=10)
         curve0 = ale_curve(model, X, 0, edges)
         assert curve0.value_range() < 0.05
-
-
-class TestAleAcrossModels:
-    def test_shared_grid_alignment(self, blobs_2class):
-        X, _ = blobs_2class
-        models = [_LinearProbaModel([1.0, 0.0]), _LinearProbaModel([2.0, 0.0])]
-        edges = make_grid(X[:, 0], grid_size=8)
-        curves = ale_curves_for_models(models, X, 0, edges)
-        assert len(curves) == 2
-        assert np.array_equal(curves[0].edges, curves[1].edges)
-
-    def test_identical_models_zero_variance(self, blobs_2class):
-        X, _ = blobs_2class
-        models = [_LinearProbaModel([1.0, 0.0])] * 3
-        edges = make_grid(X[:, 0], grid_size=8)
-        curves = ale_curves_for_models(models, X, 0, edges)
-        stacked = np.stack([c.values for c in curves])
-        assert np.allclose(stacked.std(axis=0), 0.0)
-
-    def test_empty_committee_rejected(self, blobs_2class):
-        X, _ = blobs_2class
-        with pytest.raises(ValidationError):
-            ale_curves_for_models([], X, 0, np.array([0.0, 1.0]))
 
 
 class _CountingModel(_LinearProbaModel):

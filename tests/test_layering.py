@@ -5,6 +5,7 @@ machinery — independent of the ``repro lint`` CLI path — so a layering
 regression fails the plain test suite even when nobody runs the linter.
 """
 
+import tomllib
 from pathlib import Path
 
 from repro.devtools import DEFAULT_LAYERS, LintConfig, LintEngine
@@ -73,3 +74,20 @@ class TestImportDag:
             assert "automl" not in allowed
             assert "experiments" not in allowed
             assert "netsim" not in allowed
+
+    def test_runtime_is_a_bottom_layer(self):
+        """The runtime reaches upper layers only through task names and an
+        injected cache, so it may import nothing but ``rng`` and ``exceptions``."""
+        assert set(DEFAULT_LAYERS["runtime"]) == {"rng", "exceptions"}
+
+    def test_pyproject_layer_map_matches_the_defaults(self):
+        """``[tool.reprolint.layers]`` restates DEFAULT_LAYERS; the copies must agree."""
+        with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
+            layers = tomllib.load(handle)["tool"]["reprolint"]["layers"]
+
+        def normalized(allowed):
+            return allowed if allowed == "*" else sorted(allowed)
+
+        for layer, allowed in layers.items():
+            assert layer in DEFAULT_LAYERS, f"pyproject layer {layer!r} not in DEFAULT_LAYERS"
+            assert normalized(allowed) == normalized(DEFAULT_LAYERS[layer]), layer

@@ -238,7 +238,7 @@ class TestRetrainDeterminism:
         replay, replay_runtime = retrain_with(SerialExecutor())
         assert replay.refits == 0
         assert replay_runtime.stats["cache_hits"] == 1
-        assert replay_runtime.executions_of("loop.retrain") == 0
+        assert replay_runtime.executions_of("automl.fit") == 0
         np.testing.assert_array_equal(replay.model.predict(probe), serial.model.predict(probe))
         np.testing.assert_array_equal(
             replay.model.predict_proba(probe), serial.model.predict_proba(probe)

@@ -126,6 +126,8 @@ MALFORMED_ROWS = [
     b'{"rows": [[1, 2], [3]]}',
     b'{"rows": [["x", 1, 2, 3]]}',
     b'{"rows": {"a": 1}}',
+    b'{"rows": [["1","2","3","4"]]}',
+    b'{"rows": [["1",2,3,4]]}',
     ('{"rows": [[' + "9" * 400 + ", 1, 2, 3]]}").encode(),
 ]
 

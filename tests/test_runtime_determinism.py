@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.automl import AutoMLSpec
-from repro.core.feedback import AleFeedback, within_ale_committee
+from repro.core.feedback import AleFeedback
 from repro.experiments.runner import AugmentationContext, evaluate_on_test_sets, run_strategy
 from repro.experiments.table1 import Table1Config, run_table1
 from repro.ml.metrics import accuracy
@@ -135,20 +135,6 @@ class TestArtifactCache:
         base = Task(fn_name="probe.draw", payload={"n": 3}, seed_path=(1,))
         assert task_key(base) != task_key(Task(fn_name="probe.draw", payload={"n": 3}, seed_path=(2,)))
         assert task_key(base) != task_key(Task(fn_name="probe.draw", payload={"n": 4}, seed_path=(1,)))
-
-
-class TestFeedbackTaskMapper:
-    def test_mapper_path_matches_inline_path(self, scream_data, fitted_automl):
-        committee = within_ale_committee(fitted_automl)
-        inline = AleFeedback(grid_size=8)
-        mapped = AleFeedback(grid_size=8, task_mapper=TaskRuntime(SerialExecutor()).named_map)
-        a = inline.analyze(committee, scream_data.X, scream_data.domains)
-        b = mapped.analyze(committee, scream_data.X, scream_data.domains)
-        assert a.threshold == b.threshold
-        assert len(a.profiles) == len(b.profiles)
-        for pa, pb in zip(a.profiles, b.profiles):
-            np.testing.assert_array_equal(pa.std_curve, pb.std_curve)
-            np.testing.assert_array_equal(pa.mean_curve, pb.mean_curve)
 
 
 TINY = Table1Config(

@@ -485,16 +485,6 @@ class TestRemoteCacheTier:
         assert tier.info()["entries"] == 1
         tier.close()
 
-    def test_runtime_store_url_wires_the_tier(self, tmp_path):
-        with pytest.raises(ValidationError, match="requires a local cache"):
-            TaskRuntime(SerialExecutor(), store_url="http://127.0.0.1:1")
-        local = ArtifactCache(tmp_path)
-        runtime = TaskRuntime(SerialExecutor(), cache=local, store_url="http://127.0.0.1:1/")
-        assert isinstance(runtime.cache, RemoteCacheTier)
-        assert runtime.cache.local is local
-        assert runtime.cache.url == "http://127.0.0.1:1"
-        runtime.cache.close()
-
 
 class TestCacheRaceRegressions:
     def test_concurrent_same_key_stores_never_tear(self, tmp_path):
@@ -600,7 +590,7 @@ class TestRemoteWarmGrid:
         origin = StoreService(cache_dir)
         server = serve_store_http(origin)
         runtime = TaskRuntime(
-            SerialExecutor(), cache=ArtifactCache(tmp_path / "empty-local"), store_url=server.url
+            SerialExecutor(), cache=RemoteCacheTier(ArtifactCache(tmp_path / "empty-local"), server.url)
         )
         try:
             clear_dataset_memo()
@@ -632,7 +622,7 @@ class TestRemoteWarmGrid:
         origin = StoreService(tmp_path / "origin")
         server = serve_store_http(origin)
         runtime = TaskRuntime(
-            SerialExecutor(), cache=ArtifactCache(tmp_path / "local"), store_url=server.url
+            SerialExecutor(), cache=RemoteCacheTier(ArtifactCache(tmp_path / "local"), server.url)
         )
         try:
             assert runtime.cache.client.healthz()["status"] == "ok"  # peer alive at start
