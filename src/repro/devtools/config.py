@@ -68,8 +68,8 @@ DEFAULT_LAYERS: dict[str, list[str] | str] = {
 DEFAULT_ALLOW: dict[str, list[str]] = {
     # repro.rng is the one module allowed to construct generators.
     "RL001": ["repro/rng.py"],
-    # The runtime clock owns every timeout/duration the executors need;
-    # everything else takes its time readings from there.
+    # The runtime clock owns every duration and deadline; everything else
+    # takes its time readings from there.
     "RL004": ["repro/runtime/clock.py"],
 }
 

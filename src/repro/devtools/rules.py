@@ -313,7 +313,7 @@ class WallClockRule(Rule):
     """RL004: wall-clock reads only in the module that owns the clock.
 
     The default config allowlists ``runtime/clock.py`` alone, which owns
-    every timeout and duration.  Anywhere else, a clock read makes a
+    every duration and deadline.  Anywhere else, a clock read makes a
     result depend on machine speed.
     """
 

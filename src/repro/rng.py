@@ -117,7 +117,7 @@ def generator_from_path(path: SeedPath) -> np.random.Generator:
     ``default_rng(SeedSequence(root, spawn_key=spawn_key))``.  For a
     one-element path this is bitwise-identical to
     ``check_random_state(root)``.  Longer paths address derived streams
-    (e.g. deterministic retry seeds) without touching the parent stream.
+    (e.g. a grid cell's stream) without touching the parent stream.
     """
     if not isinstance(path, tuple) or len(path) == 0:
         raise ValidationError(f"seed path must be a non-empty tuple of ints, got {path!r}")

@@ -10,9 +10,9 @@ registered task names and an injected cache.  Three ideas, three modules:
   so a result is a pure function of the task, not of where/when it ran;
 - **pluggable executors** (:mod:`~repro.runtime.executors`):
   :class:`SerialExecutor` and :class:`ProcessExecutor` share one
-  ``run(tasks, timeout=..., retries=...)`` contract and produce bitwise
-  identical results; the pool degrades gracefully to serial when it
-  cannot start or a payload cannot travel;
+  ``run(tasks, propagate_errors=...)`` contract, run each task once and
+  produce bitwise identical results; the pool degrades gracefully to
+  serial when it cannot start, breaks, or a payload cannot travel;
 - **content-addressed artifacts** (:mod:`~repro.runtime.cache`): fitted
   ensembles, datasets and grid cells persist under SHA-256 keys of (function,
   payload digest, seed path, format salt), with atomic writes and
@@ -33,13 +33,12 @@ from .cache import (
 )
 from .engine import CACHE_MODES, TaskRuntime, default_runtime
 from .executors import ProcessExecutor, SerialExecutor, TaskOutcome
-from .task import Task, TaskContext, TaskError, TaskTimeoutError, registered_tasks, task
+from .task import Task, TaskContext, TaskError, registered_tasks, task
 
 __all__ = [
     "Task",
     "TaskContext",
     "TaskError",
-    "TaskTimeoutError",
     "task",
     "registered_tasks",
     "SerialExecutor",

@@ -1,12 +1,12 @@
 """The runtime's single budget-owning clock (RL004 boundary).
 
 Wall-clock reads make results depend on machine speed, so reprolint rule
-RL004 confines them to this module.  The runtime needs exactly two
-clock-shaped things — per-task timeouts and benchmark durations — and
-both are budget logic, so they live behind this one module's tiny surface
-instead of scattering ``time.monotonic()`` calls through the executors.
-Nothing here may influence a task's *result*; timeouts abort work, they
-never change what completed work computes.
+RL004 confines them to this module.  Two clock-shaped things are needed —
+durations (task bookkeeping, benchmarks) and deadlines (the serving
+layer's request and drain timeouts) — and both are budget logic, so they
+live behind this one module's tiny surface instead of scattering
+``time.monotonic()`` calls through the code.  Nothing here may influence
+a task's *result*: the executors only time tasks, never interrupt them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Stopwatch:
 
 
 class Deadline:
-    """A per-task time budget; ``None`` seconds means unbounded."""
+    """A time budget; ``None`` seconds means unbounded."""
 
     def __init__(self, seconds: float | None) -> None:
         self.seconds = seconds

@@ -21,7 +21,7 @@ from typing import Any, Sequence
 
 from ..exceptions import ValidationError
 from .cache import ArtifactCache, task_key
-from .executors import ProcessExecutor, SerialExecutor, TaskOutcome
+from .executors import SerialExecutor
 from .task import Task
 
 __all__ = ["TaskRuntime", "default_runtime", "CACHE_MODES"]
@@ -36,16 +36,13 @@ class TaskRuntime:
     ----------
     executor:
         A :class:`SerialExecutor` (default) or :class:`ProcessExecutor`;
-        anything with the same ``run(tasks, timeout=..., retries=...)``
+        anything with the same ``run(tasks, propagate_errors=...)``
         contract works.
     cache:
         An :class:`ArtifactCache` (or a ``repro.store.RemoteCacheTier``
         wrapping one), or ``None`` for no caching.
     cache_mode:
         ``"on"``, ``"off"`` or ``"refresh"`` (see module docstring).
-    timeout, retries:
-        Per-task attempt budget in seconds (``None`` = unbounded) and the
-        number of deterministic-seed retries after a failed attempt.
     """
 
     def __init__(
@@ -54,16 +51,12 @@ class TaskRuntime:
         *,
         cache: ArtifactCache | None = None,
         cache_mode: str = "on",
-        timeout: float | None = None,
-        retries: int = 0,
     ):
         if cache_mode not in CACHE_MODES:
             raise ValidationError(f"cache_mode must be one of {CACHE_MODES}, got {cache_mode!r}")
         self.executor = executor if executor is not None else SerialExecutor()
         self.cache = cache
         self.cache_mode = cache_mode if cache is not None else "off"
-        self.timeout = timeout
-        self.retries = retries
         self.reset_stats()
 
     # -- bookkeeping -------------------------------------------------------
@@ -79,13 +72,6 @@ class TaskRuntime:
             "failed": 0,
         }
 
-    def _count_execution(self, task: Task, outcome: TaskOutcome) -> None:
-        self.stats["executed"] += 1
-        self.stats["attempts"] += outcome.attempts
-        self.stats["task_seconds"] += outcome.duration
-        by_fn = self.stats["executed_by_fn"]
-        by_fn[task.fn_name] = by_fn.get(task.fn_name, 0) + 1
-
     def executions_of(self, fn_name: str) -> int:
         """How many tasks of ``fn_name`` actually executed (cache hits excluded)."""
         return int(self.stats["executed_by_fn"].get(fn_name, 0))
@@ -99,8 +85,8 @@ class TaskRuntime:
         (preserving whatever parallelism it offers) and are stored on the
         way out.
 
-        With ``return_failures=True`` a task whose retries are exhausted
-        does not abort the batch: its slot in the result list holds the
+        With ``return_failures=True`` a task that raises does not abort
+        the batch: its slot in the result list holds the
         :class:`~repro.runtime.task.TaskError` instead of a value (check
         with ``isinstance``), the failure is counted in ``stats["failed"]``,
         and — crucially — nothing is cached for it, so a rerun retries it.
@@ -123,22 +109,20 @@ class TaskRuntime:
                     continue
             to_run.append(index)
         if to_run:
-            run_kwargs: dict[str, Any] = {"timeout": self.timeout, "retries": self.retries}
-            if return_failures:
-                # Only passed when needed: any executor honouring the plain
-                # run(tasks, timeout=..., retries=...) contract still works
-                # on the default (propagating) path.
-                run_kwargs["propagate_errors"] = False
-            outcomes = self.executor.run([tasks[index] for index in to_run], **run_kwargs)
+            outcomes = self.executor.run(
+                [tasks[index] for index in to_run], propagate_errors=not return_failures
+            )
+            by_fn = self.stats["executed_by_fn"]
             for index, outcome in zip(to_run, outcomes):
+                self.stats["attempts"] += 1
+                self.stats["task_seconds"] += outcome.duration
                 if outcome.error is not None:
                     values[index] = outcome.error
                     self.stats["failed"] += 1
-                    self.stats["attempts"] += outcome.attempts
-                    self.stats["task_seconds"] += outcome.duration
                     continue
                 values[index] = outcome.value
-                self._count_execution(tasks[index], outcome)
+                self.stats["executed"] += 1
+                by_fn[tasks[index].fn_name] = by_fn.get(tasks[index].fn_name, 0) + 1
                 if use_cache:
                     self.cache.store(keys[index], outcome.value)
                     self.stats["cache_stores"] += 1

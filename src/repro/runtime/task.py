@@ -4,7 +4,7 @@ A task is *plain data*: the name of a registered function, a picklable
 payload, and a :data:`~repro.rng.SeedPath` addressing the random stream it
 may draw from.  Nothing about a task depends on where or when it runs —
 that is the whole determinism contract.  Executors ship ``(fn_name,
-payload, seed_path, attempt)`` tuples across process boundaries; the
+payload, seed_path)`` tuples across process boundaries; the
 worker resolves ``fn_name`` against the registry (every worker imports
 :mod:`repro.runtime.tasks`, which registers the built-ins) and materializes
 the generator from the seed path locally.
@@ -20,11 +20,7 @@ Two naming schemes coexist in the registry:
   so upper layers can submit their own task functions without the runtime
   ever importing them.
 
-Retries extend the seed path instead of re-drawing from a parent stream:
-attempt ``k`` of a task with path ``p`` runs with ``(*p, _RETRY_KEY, k)``
-— fresh entropy, yet fully determined by the task identity, so a retried
-run and a first-try run of the same schedule still agree bitwise whenever
-they succeed on the same attempt number.
+A task runs once, on exactly its own seed path; a task that raises fails.
 """
 
 from __future__ import annotations
@@ -40,30 +36,19 @@ __all__ = [
     "Task",
     "TaskContext",
     "TaskError",
-    "TaskTimeoutError",
     "task",
     "resolve_task",
     "registered_tasks",
-    "execute_attempt",
+    "execute_task",
 ]
-
-#: Spawn-key dimension reserved for retry streams.  Any value would do —
-#: it only has to be fixed so retry seeds are reproducible — but a
-#: recognizable constant ("RETR" in ASCII) makes paths self-describing.
-_RETRY_KEY = 0x52455452
 
 
 class TaskError(ReproError):
-    """A task failed on every allowed attempt."""
+    """A task raised, or could not be registered or resolved."""
 
-    def __init__(self, message: str, *, task_label: str = "", attempts: int = 0):
+    def __init__(self, message: str, *, task_label: str = ""):
         super().__init__(message)
         self.task_label = task_label
-        self.attempts = attempts
-
-
-class TaskTimeoutError(TaskError):
-    """A task exceeded its per-attempt time budget on every attempt."""
 
 
 @dataclass(frozen=True)
@@ -90,12 +75,10 @@ class TaskContext:
     """What a task function may know about its own execution.
 
     ``rng`` is the generator the seed path names (``None`` for seedless
-    tasks); ``attempt`` counts from 0 and only exceeds 0 on retries, where
-    ``rng`` is already the derived retry stream.
+    tasks).
     """
 
     rng: Any = None
-    attempt: int = 0
     seed_path: SeedPath = ()
 
 
@@ -167,15 +150,8 @@ def registered_tasks() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def attempt_seed_path(seed_path: SeedPath, attempt: int) -> SeedPath:
-    """The seed path for attempt ``attempt`` (0 = first try) of a task."""
-    if attempt == 0 or not seed_path:
-        return seed_path
-    return (*seed_path, _RETRY_KEY, attempt)
-
-
-def execute_attempt(fn_name: str, payload: Mapping[str, Any], seed_path: SeedPath, attempt: int) -> Any:
-    """Run one attempt of a task in the current process.
+def execute_task(fn_name: str, payload: Mapping[str, Any], seed_path: SeedPath) -> Any:
+    """Run one task in the current process.
 
     This is the single entry point both executors use — the serial
     executor calls it inline, the process executor ships its arguments to
@@ -187,6 +163,5 @@ def execute_attempt(fn_name: str, payload: Mapping[str, Any], seed_path: SeedPat
     from . import tasks as _builtin_tasks  # noqa: F401
 
     fn = resolve_task(fn_name)
-    path = attempt_seed_path(seed_path, attempt)
-    rng = generator_from_path(path) if path else None
-    return fn(payload, TaskContext(rng=rng, attempt=attempt, seed_path=path))
+    rng = generator_from_path(seed_path) if seed_path else None
+    return fn(payload, TaskContext(rng=rng, seed_path=seed_path))

@@ -3,7 +3,7 @@
 Task functions take ``(payload, ctx)`` — a picklable mapping plus a
 :class:`~repro.runtime.task.TaskContext` carrying the generator the task's
 seed path names — and return a picklable artifact.  They are registered at
-import time; :func:`repro.runtime.task.execute_attempt` imports this
+import time; :func:`repro.runtime.task.execute_task` imports this
 module, so a freshly spawned worker process sees the same registry as the
 submitting process.
 
@@ -12,8 +12,8 @@ its estimator factory travels in the payload, so nothing here imports
 a layer above the runtime.
 
 The ``probe.*`` family exists for diagnostics and fault-injection tests:
-cheap, dependency-free tasks that exercise the seed-path, retry, and
-timeout machinery without dragging an AutoML fit into every test.
+cheap, dependency-free tasks that exercise the seed-path, ordering and
+failure machinery without dragging an AutoML fit into every test.
 
 Layers above the runtime contribute their own task families under
 qualified ``"module:function"`` names (e.g. the experiment grid cells in
@@ -66,20 +66,12 @@ def probe_draw(payload: Mapping[str, Any], ctx: TaskContext) -> Any:
 
 @task("probe.sleep")
 def probe_sleep(payload: Mapping[str, Any], ctx: TaskContext) -> Any:
-    """Sleep ``seconds`` then return ``value`` (timeout-path probe)."""
+    """Sleep ``seconds`` then return ``value`` (result-order probe)."""
     time.sleep(float(payload["seconds"]))
     return payload.get("value")
 
 
 @task("probe.fail")
 def probe_fail(payload: Mapping[str, Any], ctx: TaskContext) -> Any:
-    """Fail until attempt ``succeed_on_attempt`` (retry-path probe).
-
-    With ``succeed_on_attempt`` beyond the retry budget this is a
-    guaranteed-exhaustion task; otherwise it deterministically succeeds on
-    the configured attempt and returns that attempt number.
-    """
-    succeed_on = int(payload.get("succeed_on_attempt", 0))
-    if ctx.attempt < succeed_on:
-        raise RuntimeError(f"injected failure on attempt {ctx.attempt}")
-    return ctx.attempt
+    """Always raise (failure-path probe)."""
+    raise RuntimeError("injected failure")

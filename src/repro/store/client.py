@@ -179,10 +179,8 @@ class RemoteCacheTier:
         degraded (local-only) mode.
     max_pending_pushes:
         Bound on the background push queue; overflow drops pushes (and
-        counts them) rather than blocking task completion.
-    background_push:
-        ``False`` pushes synchronously inside ``store`` — deterministic
-        ordering for tests and benchmarks.
+        counts them) rather than blocking task completion.  :meth:`flush`
+        waits for the queue to drain.
     client:
         Injectable :class:`StoreClient` stand-in for tests.
     """
@@ -196,7 +194,6 @@ class RemoteCacheTier:
         retries: int = 2,
         failure_threshold: int = 3,
         max_pending_pushes: int = 256,
-        background_push: bool = True,
         client: StoreClient | None = None,
     ):
         self.local = local
@@ -209,7 +206,6 @@ class RemoteCacheTier:
         self.retries = int(retries)
         self.failure_threshold = int(failure_threshold)
         self.max_pending_pushes = int(max_pending_pushes)
-        self.background_push = bool(background_push)
         self.degraded = False
         self._consecutive_failures = 0
         self._pending: deque[tuple[str, bytes]] = deque()
@@ -306,9 +302,6 @@ class RemoteCacheTier:
         if self.degraded or self._closed:
             with self._cond:
                 self.counters["push_drops"] += 1
-            return
-        if not self.background_push:
-            self._push_now(key, blob)
             return
         with self._cond:
             if len(self._pending) >= self.max_pending_pushes:

@@ -5,10 +5,9 @@ machinery — independent of the ``repro lint`` CLI path — so a layering
 regression fails the plain test suite even when nobody runs the linter.
 """
 
-import tomllib
 from pathlib import Path
 
-from repro.devtools import DEFAULT_LAYERS, LintConfig, LintEngine
+from repro.devtools import DEFAULT_ALLOW, DEFAULT_LAYERS, LintConfig, LintEngine, load_config
 from repro.devtools.rules import LayeringRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -81,13 +80,8 @@ class TestImportDag:
         assert set(DEFAULT_LAYERS["runtime"]) == {"rng", "exceptions"}
 
     def test_pyproject_layer_map_matches_the_defaults(self):
-        """``[tool.reprolint.layers]`` restates DEFAULT_LAYERS; the copies must agree."""
-        with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
-            layers = tomllib.load(handle)["tool"]["reprolint"]["layers"]
-
-        def normalized(allowed):
-            return allowed if allowed == "*" else sorted(allowed)
-
-        for layer, allowed in layers.items():
-            assert layer in DEFAULT_LAYERS, f"pyproject layer {layer!r} not in DEFAULT_LAYERS"
-            assert normalized(allowed) == normalized(DEFAULT_LAYERS[layer]), layer
+        """The effective config is the built-in policy: ``pyproject.toml``
+        neither restates nor extends DEFAULT_LAYERS and DEFAULT_ALLOW."""
+        config = load_config(REPO_ROOT / "pyproject.toml")
+        assert config.layers == DEFAULT_LAYERS
+        assert config.allow == DEFAULT_ALLOW

@@ -4,9 +4,15 @@ The contract under test: a task's result is a pure function of (task fn,
 payload, seed path) — so the serial executor, the process executor, any
 submission order, and a cache-warm rerun must all agree bitwise, both at
 the single-task level (``probe.draw``) and end-to-end on a tiny Table-1
-run.  Fault injection (timeouts, retry exhaustion, poisoned cache
-entries) checks that failure handling never silently changes results.
+run.  Fault injection (raising tasks, a pool that cannot start, breaks or
+cannot carry a payload, poisoned cache entries) checks that failure
+handling never silently changes results.
 """
+
+import concurrent.futures
+import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +29,8 @@ from repro.runtime import (
     Task,
     TaskError,
     TaskRuntime,
-    TaskTimeoutError,
     digest_payload,
+    task,
     task_key,
 )
 
@@ -61,42 +67,68 @@ class TestTaskDeterminism:
         outcomes = ProcessExecutor(max_workers=2).run(tasks)
         assert [outcome.value for outcome in outcomes] == ["slow", "fast"]
 
-    def test_retry_succeeds_on_configured_attempt(self):
-        task = Task(fn_name="probe.fail", payload={"succeed_on_attempt": 1}, seed_path=(9,))
-        [outcome] = SerialExecutor().run([task], retries=2)
-        assert outcome.value == 1  # succeeded on the second attempt (0-indexed)
-        assert outcome.attempts == 2
-
-    def test_retry_exhaustion_raises_task_error_with_attempt_count(self):
-        task = Task(
-            fn_name="probe.fail",
-            payload={"succeed_on_attempt": 99},
-            seed_path=(9,),
-            label="doomed",
-        )
+    def test_failure_raises_task_error_naming_the_task(self):
+        task = Task(fn_name="probe.fail", payload={}, seed_path=(9,), label="doomed")
         with pytest.raises(TaskError) as excinfo:
-            SerialExecutor().run([task], retries=1)
-        assert excinfo.value.attempts == 2
+            SerialExecutor().run([task])
+        assert excinfo.value.task_label == "doomed"
         assert "doomed" in str(excinfo.value)
 
-    def test_process_timeout_raises_timeout_error(self):
-        task = Task(fn_name="probe.sleep", payload={"seconds": 30.0}, label="sleeper")
-        with pytest.raises(TaskTimeoutError):
-            ProcessExecutor(max_workers=1).run([task], timeout=0.3)
+    @pytest.mark.parametrize(
+        "executor", [SerialExecutor(), ProcessExecutor(max_workers=2)], ids=["serial", "process"]
+    )
+    def test_failures_are_returned_when_errors_do_not_propagate(self, executor):
+        [draw] = draw_tasks(n=1)
+        tasks = [Task(fn_name="probe.fail", payload={}, label="doomed"), draw]
+        failed, drawn = executor.run(tasks, propagate_errors=False)
+        assert isinstance(failed.error, TaskError) and failed.value is None
+        assert "doomed" in str(failed.error)
+        assert drawn.error is None
+        assert drawn.value == SerialExecutor().run([draw])[0].value
 
-    def test_process_timeouts_are_recorded_when_errors_do_not_propagate(self):
-        tasks = [
-            Task(fn_name="probe.sleep", payload={"seconds": 30.0}, label=f"sleeper-{index}")
-            for index in range(2)
-        ]
-        outcomes = ProcessExecutor(max_workers=2).run(tasks, timeout=0.3, propagate_errors=False)
-        assert [type(outcome.error) for outcome in outcomes] == [TaskTimeoutError] * 2
-        assert [outcome.value for outcome in outcomes] == [None, None]
 
-    def test_serial_timeout_detected_after_the_fact(self):
-        task = Task(fn_name="probe.sleep", payload={"seconds": 0.4})
-        with pytest.raises(TaskTimeoutError):
-            SerialExecutor().run([task], timeout=0.05)
+EXIT_IN_WORKER = f"{__name__}:exit_in_worker"
+
+
+@task(EXIT_IN_WORKER)
+def _exit_in_worker(payload, ctx):
+    """Kill the worker process that runs it; in the submitting process, return ``value``."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return payload["value"]
+
+
+class TestProcessFallbacks:
+    """The process executor falls back to in-process execution, same results."""
+
+    def test_pool_that_cannot_start_degrades_to_serial(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        tasks = draw_tasks()
+        with pytest.warns(UserWarning, match="degrading to serial"):
+            pooled = ProcessExecutor(max_workers=2).run(tasks)
+        assert [o.value for o in pooled] == [o.value for o in SerialExecutor().run(tasks)]
+
+    def test_unpicklable_payload_runs_in_process(self):
+        tasks = draw_tasks(n=3)
+        tasks[1] = Task(
+            fn_name="probe.draw", payload={"n": 5, "fn": lambda: None}, seed_path=(1234, 1)
+        )
+        with pytest.warns(UserWarning, match="cannot cross the process boundary"):
+            pooled = ProcessExecutor(max_workers=2).run(tasks)
+        assert [o.value for o in pooled] == [o.value for o in SerialExecutor().run(tasks)]
+
+    def test_broken_pool_finishes_every_task_in_process(self):
+        tasks = [*draw_tasks(n=3), Task(fn_name=EXIT_IN_WORKER, payload={"value": "survived"})]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pooled = ProcessExecutor(max_workers=2).run(tasks)
+        broke = [w for w in caught if "pool broke" in str(w.message)]
+        assert len(broke) == 1
+        assert [o.value for o in pooled] == [o.value for o in SerialExecutor().run(tasks)]
+        assert pooled[-1].value == "survived"
 
 
 class TestArtifactCache:

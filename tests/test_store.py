@@ -340,7 +340,7 @@ class TestRemoteCacheTier:
         origin = StoreService(tmp_path / "origin")
         origin.cache.store(_key("shared"), {"table": [1.0, 2.5], "n": 7})
         server = serve_store_http(origin)
-        tier = RemoteCacheTier(ArtifactCache(tmp_path / "local"), server.url, background_push=False)
+        tier = RemoteCacheTier(ArtifactCache(tmp_path / "local"), server.url)
         try:
             hit, value = tier.load(_key("shared"))
             assert hit and value == {"table": [1.0, 2.5], "n": 7}
@@ -356,9 +356,10 @@ class TestRemoteCacheTier:
     def test_write_through_replicates_to_origin(self, tmp_path):
         origin = StoreService(tmp_path / "origin")
         server = serve_store_http(origin)
-        tier = RemoteCacheTier(ArtifactCache(tmp_path / "local"), server.url, background_push=False)
+        tier = RemoteCacheTier(ArtifactCache(tmp_path / "local"), server.url)
         try:
             tier.store(_key("pushed"), [3, 4, 5])
+            assert tier.flush(timeout=10.0) is True
             assert origin.cache.read_blob(_key("pushed")) == tier.local.read_blob(_key("pushed"))
             assert tier.remote_stats()["pushes"] == 1
         finally:
@@ -386,7 +387,7 @@ class TestRemoteCacheTier:
         probe.server_close()
         tier = RemoteCacheTier(
             ArtifactCache(tmp_path), f"http://{host}:{port}",
-            retries=0, failure_threshold=1, background_push=False,
+            retries=0, failure_threshold=1,
         )
         hit, _ = tier.load(_key("gone"))
         assert not hit
@@ -445,9 +446,10 @@ class TestRemoteCacheTier:
         client = _ScriptedClient(push=_raise(PayloadTooLargeError("too big")))
         tier = RemoteCacheTier(
             ArtifactCache(tmp_path), "http://unused",
-            failure_threshold=1, background_push=False, client=client,
+            failure_threshold=1, client=client,
         )
         tier.store(_key("fat"), "x" * 64)
+        assert tier.flush(timeout=10.0) is True
         stats = tier.remote_stats()
         assert stats["push_failures"] == 1 and stats["degraded"] is False
         tier.close()
