@@ -15,7 +15,7 @@ table or figure without touching Python:
 - ``serve``    — serve a registered model over the JSON HTTP API;
 - ``loadtest`` — replay a seeded workload shape (open/closed loop,
   retry storm, flash crowd, slow client, connection churn) against the
-  in-process service or a real HTTP transport and print the LoadReport;
+  in-process service or the threaded HTTP server and print the LoadReport;
 - ``loop``     — run the online retraining-loop demo, or report loop
   status (promotion decisions, labeling journals) from a registry;
 - ``store``    — serve a cache directory as a content-addressed artifact
@@ -430,7 +430,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         run_workload,
         slow_client,
     )
-    from .serve import ServeConfig, ServeService, serve_async_http, serve_http
+    from .serve import ServeConfig, ServeService, serve_http
 
     config = ServeConfig(
         max_batch=args.max_batch,
@@ -473,11 +473,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     try:
         if args.transport == "inproc":
             target = InProcessTarget(service)
-        elif args.transport == "threaded":
-            server = serve_http(service, host="127.0.0.1", port=0)
-            target = HttpTarget(server.url)
         else:
-            server = serve_async_http(service, host="127.0.0.1", port=0)
+            server = serve_http(service, host="127.0.0.1", port=0)
             target = HttpTarget(server.url)
         report = run_workload(target, X, shape, seed=args.seed)
     finally:
@@ -606,9 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--dir", type=Path, default=None, help="registry directory override")
     loadtest.add_argument(
         "--transport",
-        choices=("inproc", "threaded", "async"),
+        choices=("inproc", "threaded"),
         default="inproc",
-        help="drive the service directly, or over real sockets via a transport",
+        help="drive the service directly, or over real sockets via the threaded HTTP server",
     )
     loadtest.add_argument(
         "--shape",

@@ -25,8 +25,8 @@ Everything random — arrival gaps, row choices, abort picks — flows
 through one seeded generator (:func:`repro.rng.check_random_state`,
 RL001), so a workload is a pure function of ``(shape, seed)``:
 :func:`arrival_times` returns the exact same schedule on every run, and
-the transport-equivalence tests rely on replaying one workload against
-two servers byte-for-byte.
+the transport-equivalence tests rely on replaying one workload over HTTP
+and in process byte-for-byte.
 """
 
 from __future__ import annotations

@@ -43,7 +43,3 @@ class Deadline:
         if self.seconds is None:
             return None
         return max(0.0, self.seconds - (monotonic() - self._start))
-
-    def exceeded(self) -> bool:
-        remaining = self.remaining()
-        return remaining is not None and remaining <= 0.0

@@ -14,11 +14,10 @@ This package is that loop's serving side, stdlib-only, in five pieces:
   points inside the registered feedback subspace or with live committee
   disagreement, feeding a bounded :class:`LabelingQueue`;
 - :mod:`~repro.serve.service` / :mod:`~repro.serve.router` /
-  :mod:`~repro.serve.http` / :mod:`~repro.serve.async_http` /
-  :mod:`~repro.serve.client` — one façade serving one model per
-  listener, one shared request dispatcher, and three ways in
-  (in-process, threaded HTTP and event-loop HTTP JSON) with identical
-  response shapes;
+  :mod:`~repro.serve.http` / :mod:`~repro.serve.client` — one façade
+  serving one model per listener, a sockets-free request dispatcher,
+  and two ways in (in-process and threaded HTTP JSON) that return the
+  same payloads;
 - :mod:`~repro.serve.metrics` — thread-safe counters and quantile
   histograms behind ``/metrics``.
 
@@ -26,7 +25,6 @@ This package is that loop's serving side, stdlib-only, in five pieces:
 package on the CLI.
 """
 
-from .async_http import AsyncHTTPServer, serve_async_http
 from .client import InProcessClient
 from .engine import InferenceEngine, Prediction, ServeConfig, ShadowMirror
 from .http import ServeHTTPServer, serve_http
@@ -34,7 +32,7 @@ from .metrics import Counter, Histogram, MetricsRegistry
 from .monitor import LabelingQueue, UncertaintyMonitor, committee_disagreement
 from .registry import ModelBundle, ModelRegistry, default_registry_dir
 from .router import RequestDispatcher
-from .service import ServeService, render_prediction
+from .service import ServeService
 
 __all__ = [
     "ModelBundle",
@@ -48,11 +46,8 @@ __all__ = [
     "LabelingQueue",
     "committee_disagreement",
     "ServeService",
-    "render_prediction",
     "ServeHTTPServer",
     "serve_http",
-    "AsyncHTTPServer",
-    "serve_async_http",
     "RequestDispatcher",
     "InProcessClient",
     "MetricsRegistry",

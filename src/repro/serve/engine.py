@@ -191,34 +191,16 @@ class ShadowMirror:
 
 
 class _PendingRequest:
-    """A submitted batch of rows waiting for its reply.
+    """A submitted batch of rows waiting for its reply."""
 
-    ``on_complete`` is the non-blocking completion path: the batcher
-    invokes it (after ``result``/``error`` is set and ``event`` fired)
-    from its own thread, so an event-loop transport can be woken without
-    parking a thread per request.  The callback must not raise and must
-    not block; a buggy one is swallowed so it can never wedge the
-    batcher.
-    """
+    __slots__ = ("X", "event", "result", "error", "stopwatch")
 
-    __slots__ = ("X", "event", "result", "error", "stopwatch", "on_complete")
-
-    def __init__(self, X: np.ndarray, stopwatch: Stopwatch, on_complete=None):
+    def __init__(self, X: np.ndarray, stopwatch: Stopwatch):
         self.X = X
         self.event = threading.Event()
         self.result: Prediction | None = None
         self.error: BaseException | None = None
         self.stopwatch = stopwatch
-        self.on_complete = on_complete
-
-    def deliver(self) -> None:
-        """Fire the event, then the completion callback (exactly once)."""
-        self.event.set()
-        if self.on_complete is not None:
-            try:
-                self.on_complete(self)
-            except Exception:
-                pass  # a transport bug must not take down the batcher
 
 
 class InferenceEngine:
@@ -269,19 +251,8 @@ class InferenceEngine:
 
     # -- client side -------------------------------------------------------
 
-    def submit(self, X, *, on_complete=None) -> _PendingRequest:
-        """Enqueue one request (one or more rows); sheds instead of blocking.
-
-        Parameters
-        ----------
-        X:
-            The request rows, ``(n_points, n_features)``.
-        on_complete:
-            Optional callback invoked from the batcher thread once the
-            request's ``result`` or ``error`` is set — the hand-off an
-            event-loop transport uses instead of blocking in
-            :meth:`predict`.  Must be fast and non-raising.
-        """
+    def submit(self, X) -> _PendingRequest:
+        """Enqueue one request, ``(n_points, n_features)`` rows; sheds instead of blocking."""
         if self._closed.is_set():
             raise ServeError("inference engine is closed")
         try:
@@ -301,7 +272,7 @@ class InferenceEngine:
             )
         if not np.isfinite(X).all():
             raise ValidationError("request contains NaN or infinite values")
-        pending = _PendingRequest(X, Stopwatch(), on_complete)
+        pending = _PendingRequest(X, Stopwatch())
         with self._inflight_cond:
             self._inflight += 1  # before the put: the batcher may drain it instantly
         try:
@@ -375,7 +346,7 @@ class InferenceEngine:
             self.metrics.counter("errors").inc(len(batch))
             for pending in batch:
                 pending.error = error
-                pending.deliver()
+                pending.event.set()
             return
         self.metrics.counter("uncertain_points").inc(int(verdicts["uncertain"].sum()))
         offset = 0
@@ -390,7 +361,7 @@ class InferenceEngine:
                 disagreement=[float(d) for d in verdicts["disagreement"][rows]],
             )
             self.metrics.histogram("latency_seconds").observe(pending.stopwatch.elapsed())
-            pending.deliver()
+            pending.event.set()
         # Mirroring runs strictly after every reply above was delivered:
         # the candidate sees the batch, callers never see the candidate.
         shadow = self._shadow
@@ -443,8 +414,7 @@ class InferenceEngine:
         shutdown sentinel can never be batched — the batcher has already
         exited.  Abandoning them would wedge their waiters until their
         timeout, so they are drained here and failed fast with a typed
-        :class:`ServeError` (delivered through the normal reply path,
-        callbacks included).
+        :class:`ServeError` (delivered through the normal reply path).
         """
         if self._closed.is_set():
             return
@@ -466,7 +436,7 @@ class InferenceEngine:
                 leftovers.append(item)
         for pending in leftovers:
             pending.error = ServeError("inference engine closed before this request was batched")
-            pending.deliver()
+            pending.event.set()
         if leftovers:
             self.metrics.counter("errors").inc(len(leftovers))
             with self._inflight_cond:

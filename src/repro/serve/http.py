@@ -14,9 +14,10 @@ governed by backpressure, not by thread count):
 
 Routing, validation, and the error-status contract (400 validation,
 503 shed, 504 timeout, 404 unknown route, 500 other serve failures)
-live in the shared :class:`~repro.serve.router.RequestDispatcher`, so
-this transport and the async one (:mod:`repro.serve.async_http`) cannot
-drift: the same request yields byte-identical JSON on both.
+live in the sockets-free :class:`~repro.serve.router.RequestDispatcher`;
+this module only frames bytes.  It is the one HTTP transport
+``python -m repro serve`` runs, and a request served here yields the
+same JSON payload as :meth:`ServeService.predict` in process.
 
 Shutdown drains: :meth:`ServeHTTPServer.close` first stops accepting
 connections, then quiesces the service so every request already in the
@@ -96,11 +97,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def parse_json_body(raw: bytes) -> dict:
-    """Decode a request body to the JSON object the API requires.
-
-    Shared by both transports so malformed input produces the identical
-    400 message whichever server received it.
-    """
+    """Decode a request body to the JSON object the API requires (else a 400)."""
     try:
         payload = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:

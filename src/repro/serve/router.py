@@ -1,13 +1,13 @@
-"""The transport-shared request dispatcher.
+"""The sockets-free request dispatcher.
 
 :class:`RequestDispatcher` is the one place HTTP semantics live: route
 parsing (``/predict``, ``/predict/<name>``, ``/feedback[/<name>]``,
 ``/healthz``, ``/metrics``), payload validation, and the typed-error →
 status mapping (400/404/503/504/500) for the one
-:class:`~repro.serve.service.ServeService` a listener serves.  Both the
-threaded and the async transport call into it, so the two servers cannot
-drift apart — the transport-equivalence tests assert their payloads are
-*bitwise* identical, and sharing this object is why that holds.
+:class:`~repro.serve.service.ServeService` a listener serves.  The
+threaded HTTP server (:mod:`repro.serve.http`) only frames bytes around
+it, so tests and the Hypothesis fuzzer drive the full request contract
+through :meth:`RequestDispatcher.post` without opening a socket.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ class RouteNotFound(Exception):
     """Transport-internal signal: this path or model name maps to nothing.
 
     Deliberately *not* a :class:`~repro.exceptions.ReproError` — it never
-    escapes the dispatcher/transport layer; it only carries the 404
-    message between route parsing and response rendering.
+    escapes the dispatcher; it only carries the 404 message between
+    route parsing and response rendering.
     """
 
 
@@ -42,14 +42,14 @@ class RequestDispatcher:
     """HTTP semantics — routing, validation, error mapping — sans sockets.
 
     ``target`` is the one :class:`ServeService` the listener serves.
-    Transports hand paths and parsed JSON in and get ``(status,
-    payload)`` out; they never interpret errors themselves.
+    The HTTP server hands paths and parsed JSON in and gets ``(status,
+    payload)`` out; it never interprets errors itself.
     """
 
     def __init__(self, target: ServeService):
         self.target = target
 
-    # -- route/payload parsing (shared by both transports) -----------------
+    # -- route/payload parsing ---------------------------------------------
 
     def parse_post_route(self, path: str) -> tuple[str, str | None]:
         """``/predict[/<name>]`` or ``/feedback[/<name>]`` → ``(kind, name)``."""
@@ -102,7 +102,7 @@ class RequestDispatcher:
         return self.not_found(f"no route {path!r}")
 
     def post(self, path: str, payload: dict) -> tuple[int, dict]:
-        """Blocking POST handling — the threaded transport's whole brain."""
+        """Route, validate and answer one POST; errors become typed statuses."""
         try:
             kind, name = self.parse_post_route(path)
             if kind == "predict":

@@ -1,8 +1,8 @@
 """The serving façade: registry + engine + monitor behind four operations.
 
-:class:`ServeService` is the single object both transports (the HTTP
-server and the in-process client) talk to.  It owns exactly the four
-operations the JSON API exposes:
+:class:`ServeService` is the single object both ways in (the threaded
+HTTP server and the in-process client) talk to.  It owns exactly the
+four operations the JSON API exposes:
 
 - ``predict(rows)``   → labels, probabilities, uncertainty verdicts;
 - ``feedback(limit)`` → drain the labeling queue (the paper's "collect
@@ -10,9 +10,10 @@ operations the JSON API exposes:
 - ``healthz()``       → liveness plus which model/version is serving;
 - ``metrics()``       → the engine's counters and latency histograms.
 
-Keeping the transports this thin means every concurrency/correctness
+Keeping the HTTP server this thin means every concurrency/correctness
 test can run against the service in-process and still exercise the same
-code the HTTP path does.
+code the HTTP path does: a request's ``/predict`` payload is the same
+dict whichever way it came in.
 
 Hot-swapping: the retraining loop promotes new versions *into a running
 service*.  All mutable serving state lives in one ``_state`` tuple
@@ -30,21 +31,11 @@ import dataclasses
 from pathlib import Path
 from typing import Any
 
-from .engine import InferenceEngine, Prediction, ServeConfig
+from .engine import InferenceEngine, ServeConfig
 from .metrics import MetricsRegistry
 from .registry import ModelBundle, ModelRegistry
 
-__all__ = ["ServeService", "render_prediction"]
-
-
-def render_prediction(name: str, version: int | None, prediction: Prediction) -> dict[str, Any]:
-    """Assemble the one true ``/predict`` response payload.
-
-    Every transport — blocking in-process, threaded HTTP, async HTTP —
-    renders through this function, so the served JSON is bitwise
-    identical regardless of which path a request took.
-    """
-    return {"model": name, "version": version, **prediction.to_json()}
+__all__ = ["ServeService"]
 
 
 class ServeService:
@@ -64,8 +55,8 @@ class ServeService:
         engine = InferenceEngine(bundle, self.config, metrics=self.metrics_registry)
         self._state: tuple[ModelBundle, int | None, InferenceEngine] = (bundle, version, engine)
 
-    # Back-compat views onto the atomic state tuple: existing tests (and
-    # transports) read service.bundle / .version / .engine directly.
+    # Views onto the atomic state tuple: tests and the dispatcher read
+    # service.bundle / .version / .engine directly.
 
     @property
     def bundle(self) -> ModelBundle:
@@ -142,22 +133,7 @@ class ServeService:
         """Predict one request's rows; returns the JSON-shaped response."""
         bundle, version, engine = self._state
         prediction = engine.predict(rows, timeout=timeout)
-        return render_prediction(bundle.name, version, prediction)
-
-    def begin_predict(self, rows, on_complete) -> tuple[Any, str, int | None]:
-        """Submit without waiting: the event-loop transport's entry point.
-
-        Sheds (:class:`~repro.exceptions.BackpressureError`) or rejects
-        (:class:`~repro.exceptions.ValidationError`) immediately;
-        otherwise returns ``(pending, model_name, version)`` and
-        ``on_complete(pending)`` fires from the batcher thread once
-        ``pending.result``/``pending.error`` is set.  Render the reply
-        with :func:`render_prediction` using the returned name/version so
-        a hot swap mid-request cannot tear the response.
-        """
-        bundle, version, engine = self._state
-        pending = engine.submit(rows, on_complete=on_complete)
-        return pending, bundle.name, version
+        return {"model": bundle.name, "version": version, **prediction.to_json()}
 
     def feedback(self, limit: int | None = None) -> dict[str, Any]:
         """Drain up to ``limit`` uncertain points awaiting labels."""

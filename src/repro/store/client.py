@@ -13,9 +13,10 @@ digest verify → atomic local install → unpickle from disk, so a remote
 hit is *byte-identical* to what a local execution would have written.
 ``store`` is write-through — local install first (tasks never wait on
 the network), then a background push with deterministic bounded retries
-(no sleeps, no clocks: ``retries + 1`` immediate attempts).  A run of
-consecutive transport failures trips a circuit breaker into *degraded*
-local-only mode: the peer being down can slow a grid, never fail it.
+(no sleeps, no clocks: ``RETRIES + 1`` immediate attempts).  A run of
+``FAILURE_THRESHOLD`` consecutive transport failures trips a circuit
+breaker into *degraded* local-only mode: the peer being down can slow a
+grid, never fail it.
 """
 
 from __future__ import annotations
@@ -35,16 +36,28 @@ from ..exceptions import (
     ValidationError,
 )
 from ..runtime.cache import ArtifactCache
-from .server import BLOB_DIGEST_HEADER, BLOB_SIZE_HEADER
+from .server import BLOB_DIGEST_HEADER
 from .service import blob_digest
 
 __all__ = ["StoreClient", "RemoteCacheTier"]
+
+#: Seconds one remote call may take before it counts as a transport failure.
+TIMEOUT_S = 10.0
+
+#: Extra attempts after a failed transport call, back-to-back (no sleeps).
+RETRIES = 2
+
+#: Consecutive failed calls (each after its retries) that trip the breaker.
+FAILURE_THRESHOLD = 3
+
+#: Bound on the background push queue; overflow drops pushes (counted).
+MAX_PENDING_PUSHES = 256
 
 
 class StoreClient:
     """Stdlib-urllib client for a running artifact-store server."""
 
-    def __init__(self, url: str, *, timeout: float = 10.0):
+    def __init__(self, url: str, *, timeout: float = TIMEOUT_S):
         self.url = str(url).rstrip("/")
         self.timeout = timeout
 
@@ -131,22 +144,6 @@ class StoreClient:
         except urllib.error.HTTPError as error:
             raise self._translate(error) from None
 
-    def head(self, key: str) -> dict[str, Any] | None:
-        """Size and digest of a remote entry without its body, or ``None``."""
-        request = urllib.request.Request(f"{self.url}/artifacts/{key}", method="HEAD")
-        try:
-            with self._open(request) as response:
-                return {
-                    "key": key,
-                    "bytes": int(response.headers.get(BLOB_SIZE_HEADER, 0)),
-                    "sha256": response.headers.get(BLOB_DIGEST_HEADER, ""),
-                }
-        except urllib.error.HTTPError as error:
-            translated = self._translate(error)
-            if isinstance(translated, KeyError):
-                return None
-            raise translated from None
-
     # -- admin -------------------------------------------------------------
 
     def stat(self) -> dict[str, Any]:
@@ -171,16 +168,6 @@ class RemoteCacheTier:
         remote peer is an accelerator, never the source of truth.
     url:
         Base URL of the artifact server.
-    retries:
-        Extra attempts after a failed transport call (``retries + 1``
-        total), back-to-back — bounded and deterministic, no sleeps.
-    failure_threshold:
-        Consecutive transport failures that trip the breaker into
-        degraded (local-only) mode.
-    max_pending_pushes:
-        Bound on the background push queue; overflow drops pushes (and
-        counts them) rather than blocking task completion.  :meth:`flush`
-        waits for the queue to drain.
     client:
         Injectable :class:`StoreClient` stand-in for tests.
     """
@@ -190,22 +177,11 @@ class RemoteCacheTier:
         local: ArtifactCache,
         url: str,
         *,
-        timeout: float = 10.0,
-        retries: int = 2,
-        failure_threshold: int = 3,
-        max_pending_pushes: int = 256,
         client: StoreClient | None = None,
     ):
         self.local = local
-        if retries < 0:
-            raise ValidationError(f"retries must be >= 0, got {retries}")
-        if failure_threshold < 1:
-            raise ValidationError(f"failure_threshold must be >= 1, got {failure_threshold}")
         self.url = str(url).rstrip("/")
-        self.client = client if client is not None else StoreClient(self.url, timeout=timeout)
-        self.retries = int(retries)
-        self.failure_threshold = int(failure_threshold)
-        self.max_pending_pushes = int(max_pending_pushes)
+        self.client = client if client is not None else StoreClient(self.url)
         self.degraded = False
         self._consecutive_failures = 0
         self._pending: deque[tuple[str, bytes]] = deque()
@@ -264,7 +240,7 @@ class RemoteCacheTier:
     def _note_failure(self) -> None:
         with self._cond:
             self._consecutive_failures += 1
-            if not self.degraded and self._consecutive_failures >= self.failure_threshold:
+            if not self.degraded and self._consecutive_failures >= FAILURE_THRESHOLD:
                 self.degraded = True
                 self.counters["degradations"] += 1
 
@@ -273,7 +249,7 @@ class RemoteCacheTier:
     def _fetch(self, key: str) -> bytes | None:
         if self.degraded:
             return None
-        for _attempt in range(self.retries + 1):
+        for _attempt in range(RETRIES + 1):
             try:
                 blob = self.client.fetch(key)
             except StoreIntegrityError:
@@ -304,7 +280,7 @@ class RemoteCacheTier:
                 self.counters["push_drops"] += 1
             return
         with self._cond:
-            if len(self._pending) >= self.max_pending_pushes:
+            if len(self._pending) >= MAX_PENDING_PUSHES:
                 self.counters["push_drops"] += 1
                 return
             self._pending.append((key, blob))
@@ -336,7 +312,7 @@ class RemoteCacheTier:
             with self._cond:
                 self.counters["push_drops"] += 1
             return
-        for _attempt in range(self.retries + 1):
+        for _attempt in range(RETRIES + 1):
             try:
                 self.client.push(key, blob)
             except StoreUnavailableError:

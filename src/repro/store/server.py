@@ -12,8 +12,8 @@ sockets.
 route, with *streamed* bodies: a PUT hashes chunks into a unique temp
 file and only installs on digest match (:meth:`StoreService.put_stream`),
 and a GET streams from an open handle that was hashed through that same
-handle, so a concurrent prune can never tear a response.  A HEAD answers
-from that handle's size and digest and sends no body.
+handle, so a concurrent prune can never tear a response.  Other methods
+get the stdlib's 501 (bodiless for HEAD), which closes the connection.
 """
 
 from __future__ import annotations
@@ -37,14 +37,10 @@ __all__ = [
     "StoreHTTPServer",
     "serve_store_http",
     "BLOB_DIGEST_HEADER",
-    "BLOB_SIZE_HEADER",
 ]
 
 #: Wire-integrity header: sha256 of the raw body, verified on both ends.
 BLOB_DIGEST_HEADER = "X-Repro-Blob-SHA256"
-
-#: Blob size header (set on GET/HEAD so HEAD needs no body).
-BLOB_SIZE_HEADER = "X-Repro-Blob-Bytes"
 
 #: Typed-error → HTTP status, most specific first (the response contract).
 _ERROR_STATUS = (
@@ -64,7 +60,7 @@ class StoreDispatcher:
 
     Routes::
 
-        GET /stat[/<key>]   store totals / one entry's size+digest
+        GET /stat           store totals
         GET /healthz        liveness + role
         GET /metrics        counters and histograms (JSON)
 
@@ -103,11 +99,9 @@ class StoreDispatcher:
     def handle(self, method: str, path: str) -> StoreResponse:
         """One bodiless non-artifact request in, one rendered response out."""
         try:
-            if method in ("GET", "HEAD"):
+            if method == "GET":
                 return self._get(path)
             return self.not_found(f"no route {method} {path!r}")
-        except KeyError as error:
-            return self.not_found(f"no artifact {error.args[0]!r} in this store")
         except (ValidationError, StoreError) as error:
             return self.error_response(error)
 
@@ -118,9 +112,6 @@ class StoreDispatcher:
             return self.json_response(200, self.service.metrics())
         if path == "/stat":
             return self.json_response(200, self.service.stat())
-        parts = path.rstrip("/").split("/")
-        if len(parts) == 3 and parts[1] == "stat" and parts[2]:
-            return self.json_response(200, self.service.stat_key(parts[2]))
         return self.not_found(f"no route {path!r}")
 
 
@@ -144,16 +135,12 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in extra.items():
             self.send_header(name, value)
         self.end_headers()
-        if body and self.command != "HEAD":
-            self.wfile.write(body)
+        self.wfile.write(body)
 
-    # -- streamed artifact GET / HEAD --------------------------------------
+    # -- streamed artifact GET ---------------------------------------------
 
-    def _get_or_head(self) -> None:
-        """Answer GET or HEAD on any route; artifact bodies stream.
-
-        HEAD sends the same headers as GET and leaves the handle unread.
-        """
+    def do_GET(self) -> None:  # noqa: N802 - stdlib dispatch name
+        """Answer GET on any route; artifact bodies stream."""
         key = StoreDispatcher.artifact_key(self.path)
         if key is None:
             self._send(self.server.dispatcher.handle(self.command, self.path))
@@ -171,15 +158,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Type", "application/octet-stream")
             self.send_header("Content-Length", str(size))
             self.send_header(BLOB_DIGEST_HEADER, digest)
-            self.send_header(BLOB_SIZE_HEADER, str(size))
             self.end_headers()
-            while self.command == "GET":
-                chunk = handle.read(CHUNK_BYTES)
-                if not chunk:
-                    break
+            while chunk := handle.read(CHUNK_BYTES):
                 self.wfile.write(chunk)
-
-    do_GET = do_HEAD = _get_or_head  # noqa: N815 - stdlib dispatch names
 
     # -- streamed artifact PUT ---------------------------------------------
 

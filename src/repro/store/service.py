@@ -61,7 +61,7 @@ def _require_hex_digest(value: str, what: str) -> str:
 
 
 class StoreService:
-    """Blob get/put/stat over one cache directory, with shared validation.
+    """Blob get/put over one cache directory, with shared validation.
 
     Parameters
     ----------
@@ -108,17 +108,21 @@ class StoreService:
 
     # -- reads -------------------------------------------------------------
 
-    def _open_hashed(self, key: str) -> tuple[BinaryIO, int, str]:
-        """``(handle, size, sha256)`` of one entry, hashed in ``CHUNK_BYTES`` chunks.
+    def open_blob(self, key: str) -> tuple[BinaryIO, int, str]:
+        """``(handle, size, sha256)`` for streaming one blob out.
 
-        The handle is open and rewound.  Counts nothing; raises
-        ``KeyError`` when absent.
+        The blob is hashed in ``CHUNK_BYTES`` chunks through the returned
+        handle itself, which is then rewound, so even if the entry is
+        concurrently replaced or pruned, the caller streams exactly the
+        bytes that were hashed (POSIX keeps an open file alive past
+        unlink).  Raises ``KeyError`` when absent.
         """
         self._check_open()
         self.validate_key(key)
         try:
             handle = open(self.cache.path_for(key), "rb")
         except OSError:
+            self.metrics_registry.counter("fetch_misses").inc()
             raise KeyError(key) from None
         h = hashlib.sha256()
         size = 0
@@ -126,30 +130,9 @@ class StoreService:
             h.update(chunk)
             size += len(chunk)
         handle.seek(0)
-        return handle, size, h.hexdigest()
-
-    def open_blob(self, key: str) -> tuple[BinaryIO, int, str]:
-        """``(handle, size, sha256)`` for streaming one blob out.
-
-        The digest was computed over the returned handle itself, so even
-        if the entry is concurrently replaced or pruned, the caller
-        streams exactly the bytes that were hashed (POSIX keeps an open
-        file alive past unlink).  Raises ``KeyError`` when absent.
-        """
-        try:
-            handle, size, digest = self._open_hashed(key)
-        except KeyError:
-            self.metrics_registry.counter("fetch_misses").inc()
-            raise
         self.metrics_registry.counter("fetches").inc()
         self.metrics_registry.histogram("fetch_bytes").observe(size)
-        return handle, size, digest
-
-    def stat_key(self, key: str) -> dict[str, Any]:
-        """Size and digest of one entry without buffering it or counting a fetch."""
-        handle, size, digest = self._open_hashed(key)
-        handle.close()
-        return {"key": key, "bytes": size, "sha256": digest}
+        return handle, size, h.hexdigest()
 
     # -- writes ------------------------------------------------------------
 
@@ -165,7 +148,7 @@ class StoreService:
         The integrity gate: bytes land in a unique temp file while the
         hash accumulates, and only a digest match renames them into the
         cache — a mismatch (or an oversize body) leaves the store
-        untouched.  Raises the typed errors the transports map to
+        untouched.  Raises the typed errors the HTTP server maps to
         400/413/503.
         """
         self._check_open()

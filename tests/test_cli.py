@@ -85,13 +85,14 @@ class TestLoadtest:
         assert args.name is None
         assert args.transport == "inproc" and args.shape == "open"
         args = build_parser().parse_args(
-            ["loadtest", "scream", "--transport", "async", "--shape", "retry-storm"]
+            ["loadtest", "scream", "--transport", "threaded", "--shape", "retry-storm"]
         )
-        assert args.name == "scream" and args.transport == "async"
+        assert args.name == "scream" and args.transport == "threaded"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["loadtest", "--shape", "sideways"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadtest", "--transport", "carrier-pigeon"])
+        for gone in ("carrier-pigeon", "async"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["loadtest", "--transport", gone])
 
     def test_inproc_run_reports_balanced_accounting(
         self, served_scream_registry, capsys

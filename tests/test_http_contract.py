@@ -1,67 +1,72 @@
-"""Transport-equivalence and error-contract tests, threaded vs async.
+"""The threaded HTTP server's wire contract, on real sockets.
 
-Both HTTP servers delegate semantics to the shared
-:class:`~repro.serve.router.RequestDispatcher`, so they must be
-observably the same service:
+The server delegates semantics to the sockets-free
+:class:`~repro.serve.router.RequestDispatcher`, and these tests check
+what only a socket can show:
 
 - the documented error contract (400 malformed/oversized, 404 unknown
-  route or model, 503 shed, 504 timeout) holds **on real sockets** for
-  both transports, with identical JSON error bodies;
-- a seeded workload replayed against both servers yields **bitwise
-  identical** response payloads, and the two services' counters
-  reconcile;
+  route or model, 503 shed, 504 timeout) with typed JSON error bodies;
+- connection handling: pipelined requests answered in order, a
+  malformed request line answered 400 while the server keeps serving,
+  ``Connection: close`` honoured, and a socket-level Hypothesis fuzzer
+  (request lines, header blocks, ``Content-Length`` values, truncated
+  bodies) under which every exchange ends in a status line or a clean
+  close and the server stays healthy;
+- a seeded workload served over HTTP yields payloads **bitwise equal**
+  to :meth:`ServeService.predict` in process, and the two services'
+  counters reconcile;
 - shutdown *drains*: requests already accepted into the engine queue
-  get real replies before the engine goes down (regression for the
-  pre-PR-9 threaded server, which abandoned queued futures), and a
-  request stranded behind the shutdown sentinel is failed fast with a
-  typed error instead of holding its waiter until timeout.
+  get real replies before the engine goes down, and a request stranded
+  behind the shutdown sentinel is failed fast with a typed error instead
+  of holding its waiter until timeout.
 """
 
 import http.client
 import json
 import socket
 import statistics
+import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ServeError
 from repro.loadgen import HttpTarget
 from repro.rng import check_random_state
 from repro.runtime.clock import Stopwatch
-from repro.serve import (
-    InferenceEngine,
-    ServeConfig,
-    ServeService,
-    serve_async_http,
-    serve_http,
-)
+from repro.serve import InferenceEngine, ServeConfig, ServeService, serve_http
 from repro.serve.engine import _PendingRequest
 from repro.serve.http import MAX_BODY_BYTES
 
 
-def _start_server(transport: str, service: ServeService):
-    return serve_http(service) if transport == "threaded" else serve_async_http(service)
+def _host_port(url: str) -> tuple[str, int]:
+    host, _, port = url.split("//", 1)[-1].partition(":")
+    return host, int(port)
+
+
+def _read_response(reader) -> tuple[int, dict, bytes]:
+    """One full response off a buffered reader: ``(status, headers, body)``."""
+    status = int(reader.readline().split(b" ", 2)[1])
+    headers = {}
+    while True:
+        line = reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers.get("content-length", "0")))
 
 
 def _raw_exchange(url: str, data: bytes, *, timeout: float = 5.0) -> tuple[int, bytes]:
     """Send raw bytes, read one response off a buffered reader."""
-    host, _, port = url.split("//", 1)[-1].partition(":")
-    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+    with socket.create_connection(_host_port(url), timeout=timeout) as sock:
         sock.settimeout(timeout)
         sock.sendall(data)
         with sock.makefile("rb") as reader:
-            status_line = reader.readline()
-            status = int(status_line.split(b" ", 2)[1])
-            headers = {}
-            while True:
-                line = reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            body = reader.read(int(headers.get("content-length", "0")))
+            status, _, body = _read_response(reader)
     return status, body
 
 
@@ -71,25 +76,25 @@ def _post_bytes(path: str, body: bytes) -> bytes:
     ).encode("latin-1") + body
 
 
-@pytest.fixture(params=["threaded", "async"])
-def transport(request):
+@pytest.fixture(params=[pytest.param(serve_http, id="threaded")])
+def start_server(request):
     return request.param
 
 
 @pytest.fixture()
-def server(transport, served_scream_registry):
+def server(start_server, served_scream_registry):
     service = ServeService.from_registry(
         "scream",
         directory=served_scream_registry.directory,
         config=ServeConfig(max_batch=16),
     )
-    server = _start_server(transport, service)
+    server = start_server(service)
     yield server
     server.close()
 
 
 class TestErrorContract:
-    """One request per documented failure, identical on both transports."""
+    """One request per documented failure, each with a typed JSON body."""
 
     def test_malformed_json_is_400(self, server):
         status, body = _raw_exchange(server.url, _post_bytes("/predict", b"not json"))
@@ -148,17 +153,141 @@ class TestErrorContract:
 
     def test_mid_request_disconnect_leaves_server_healthy(self, server, scream_data):
         request = _post_bytes("/predict", json.dumps({"rows": scream_data.X[:1].tolist()}).encode())
-        host, _, port = server.url.split("//", 1)[-1].partition(":")
         for _ in range(3):
-            sock = socket.create_connection((host, int(port)), timeout=5.0)
+            sock = socket.create_connection(_host_port(server.url), timeout=5.0)
             sock.sendall(request[: len(request) // 2])
             sock.close()  # client gave up mid-send
         status, body = _raw_exchange(server.url, request)
         assert status == 200 and "labels" in json.loads(body)
 
 
+class TestConnectionHandling:
+    """Framing on one connection: order, a bad request line, an asked-for close."""
+
+    def test_pipelined_requests_answered_in_order(self, server, scream_data):
+        first = _post_bytes("/predict", json.dumps({"rows": scream_data.X[:1].tolist()}).encode())
+        second = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        with socket.create_connection(_host_port(server.url), timeout=5.0) as sock:
+            sock.sendall(first + second)  # both requests in one write
+            with sock.makefile("rb") as reader:
+                status, _, body = _read_response(reader)
+                assert status == 200 and "labels" in json.loads(body)
+                status, _, body = _read_response(reader)
+                assert status == 200 and json.loads(body)["status"] == "ok"
+
+    def test_malformed_request_line_is_400_and_serving_goes_on(self, server):
+        # Four words: the version parses (so the reply has a status line),
+        # the line does not.
+        with socket.create_connection(_host_port(server.url), timeout=5.0) as sock:
+            sock.sendall(b"GET /healthz extra HTTP/1.1\r\n\r\n")
+            with sock.makefile("rb") as reader:
+                status, headers, _ = _read_response(reader)
+                assert status == 400
+                assert headers.get("connection") == "close"
+                assert reader.read() == b""  # the server closed its side
+        status, body = _raw_exchange(server.url, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        assert status == 200 and json.loads(body)["status"] == "ok"
+
+    def test_connection_close_header_honored(self, server):
+        request = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        with socket.create_connection(_host_port(server.url), timeout=5.0) as sock:
+            sock.sendall(request)
+            with sock.makefile("rb") as reader:
+                status, headers, _ = _read_response(reader)
+                assert status == 200
+                assert headers.get("connection") == "close"
+                assert reader.read() == b""  # the server actually closed
+
+
+_TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=8)
+
+
+def _lines(versions):
+    return st.builds(
+        lambda method, path, version: " ".join(part for part in (method, path, version) if part),
+        st.sampled_from(["GET", "POST", "PUT", "HEAD", "DELETE"]),
+        st.sampled_from(["/predict", "/predict/scream", "/feedback", "/healthz", "/metrics", "/nope", "*"])
+        | _TOKEN.map(lambda tail: "/" + tail),
+        st.sampled_from(versions),
+    )
+
+
+_REQUEST_LINES = st.one_of(
+    _lines(["HTTP/1.1", "HTTP/1.0"]),
+    _lines(["HTTP/0.9", "HTTP/2.0", "HTTP/1.1 x", "http/1.1", ""]),
+    st.text(st.characters(max_codepoint=255), max_size=40),
+)
+_HEADERS = st.lists(
+    st.tuples(
+        st.sampled_from(["Host", "Connection", "Content-Type", "Expect", "Transfer-Encoding"]) | _TOKEN,
+        st.sampled_from(["close", "keep-alive", "100-continue", "chunked", "application/json", ""])
+        | st.text(st.characters(max_codepoint=255), max_size=12),
+    ),
+    max_size=5,
+)
+_CONTENT_LENGTHS = st.none() | st.integers(-3, 400).map(str) | _TOKEN
+_BODIES = st.sampled_from([b"", b"{}", b'{"rows": [[1, 2, 3, 4]]}', b'{"limit": 2}', b"[1]"]) | st.binary(
+    max_size=200
+)
+#: Stdlib protocol errors (414 URI too long, 431 headers, 501 method,
+#: 505 version) and 100 Continue, beside the dispatcher's statuses.
+_FUZZ_STATUSES = {100, 200, 400, 404, 414, 431, 501, 505}
+
+
+def _fuzz_exchange(url: str, data: bytes) -> bytes:
+    """Send ``data``, half-close, and read to EOF; raise on a wedge or a reset."""
+    with socket.create_connection(_host_port(url), timeout=5.0) as sock:
+        sock.settimeout(5.0)  # a wedged server surfaces as socket.timeout
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)  # a truncated body ends here, not by timeout
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    line=_REQUEST_LINES,
+    headers=_HEADERS,
+    content_length=_CONTENT_LENGTHS,
+    body=_BODIES,
+    keep=st.floats(0.0, 1.0),
+)
+def test_socket_fuzz_ends_in_a_status_line_or_a_clean_close(
+    server, line, headers, content_length, body, keep
+):
+    """Arbitrary request bytes: a status line or a clean close, and serving goes on.
+
+    A reply without a status line is the stdlib's HTTP/0.9 answer to a
+    request line that names no HTTP/1.x version; it too must end in a
+    close.  No handler may raise: ``handle_error`` is the stdlib's hook
+    for an exception that escaped one.
+    """
+    raised = []
+    server.handle_error = lambda request, address: raised.append(sys.exc_info()[1])
+    block = [line] + [f"{name}: {value}" for name, value in headers]
+    if content_length is not None:
+        block.append(f"Content-Length: {content_length}")
+    truncated = body[: round(len(body) * keep)]
+    data = ("\r\n".join(block) + "\r\n\r\n").encode("latin-1") + truncated
+    received = _fuzz_exchange(server.url, data)
+    if received.startswith(b"HTTP/"):
+        assert b"\r\n" in received, received[:80]  # the status line is complete
+        status_line = received.split(b"\r\n", 1)[0].split(b" ", 2)
+        assert len(status_line) >= 2 and status_line[0] in (b"HTTP/1.0", b"HTTP/1.1"), received[:80]
+        assert int(status_line[1]) in _FUZZ_STATUSES, received[:200]
+    assert raised == []
+    status, payload = _raw_exchange(server.url, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+    assert status == 200 and json.loads(payload)["status"] == "ok"
+
+
 class TestOverloadContract:
-    def test_shed_503_and_timeout_504(self, transport, served_scream_registry, scream_data):
+    def test_shed_503_and_timeout_504(self, start_server, served_scream_registry, scream_data):
         """A wedged model: queued requests 504, overflow requests 503."""
         service = ServeService.from_registry(
             "scream",
@@ -175,7 +304,7 @@ class TestOverloadContract:
             return original(X)
 
         service.bundle.automl.predict_batch = wedged
-        server = _start_server(transport, service)
+        server = start_server(service)
         request = _post_bytes("/predict", json.dumps({"rows": scream_data.X[:1].tolist()}).encode())
         results: dict[str, tuple[int, bytes]] = {}
 
@@ -217,36 +346,37 @@ class TestTransportEquivalence:
     def test_seeded_workload_served_bitwise_identically(
         self, served_scream_registry, scream_data
     ):
-        """Same requests, two transports → byte-identical (status, body) pairs."""
+        """Same requests over HTTP and in process → byte-identical payloads."""
         config = ServeConfig(max_batch=16)
         rng = check_random_state(42)
         starts = rng.integers(0, scream_data.X.shape[0] - 2, size=30)
         requests = [scream_data.X[start : start + 2].tolist() for start in starts]
 
-        def serve_all(start_server):
-            service = ServeService.from_registry(
+        def load():
+            return ServeService.from_registry(
                 "scream", directory=served_scream_registry.directory, config=config
             )
-            server = start_server(service)
-            target = HttpTarget(server.url)
-            try:
-                replies = [
-                    target.exchange(rows, timeout=5.0, plan={}) for rows in requests
-                ]
-            finally:
-                server.close()
-            return replies, service.metrics_registry.snapshot()["counters"]
 
-        threaded_replies, threaded_counters = serve_all(serve_http)
-        async_replies, async_counters = serve_all(serve_async_http)
-
-        assert threaded_replies == async_replies  # statuses AND bodies, bitwise
-        assert all(status == 200 for status, _ in threaded_replies)
+        http_service = load()
+        server = serve_http(http_service)
+        target = HttpTarget(server.url)
+        try:
+            http_replies = [target.exchange(rows, timeout=5.0, plan={}) for rows in requests]
+        finally:
+            server.close()
+        with load() as local_service:
+            # The handler's own encoding: json.dumps(payload).encode("utf-8").
+            local_replies = [
+                (200, json.dumps(local_service.predict(rows)).encode("utf-8")) for rows in requests
+            ]
+        assert http_replies == local_replies  # statuses AND bodies, bitwise
         # The two services saw identical traffic and account for it identically.
+        http_counters = http_service.metrics_registry.snapshot()["counters"]
+        local_counters = local_service.metrics_registry.snapshot()["counters"]
         for key in ("requests", "points", "shed", "timeouts", "errors"):
-            assert threaded_counters[key] == async_counters[key], key
-        assert threaded_counters["requests"] == len(requests)
-        assert threaded_counters["points"] == 2 * len(requests)
+            assert http_counters[key] == local_counters[key], key
+        assert http_counters["requests"] == len(requests)
+        assert http_counters["points"] == 2 * len(requests)
 
 
 class TestKeepAliveLatency:
@@ -337,7 +467,7 @@ class TestShutdownDrains:
         batcher has already exited, so nothing will ever batch it.  The
         pre-PR-9 engine abandoned such requests (their waiters hung
         until timeout); now ``close()`` drains the queue and fails them
-        with :class:`ServeError`, completion callbacks included.
+        with :class:`ServeError`.
         """
         bundle = served_scream_registry.load("scream")
         engine = InferenceEngine(bundle, ServeConfig(max_batch=1))
@@ -351,7 +481,6 @@ class TestShutdownDrains:
             return original(X)
 
         engine.bundle.automl.predict_batch = gated
-        delivered = []
         try:
             first = engine.submit(scream_data.X[:1])
             assert entered.wait(5.0)  # the batcher is wedged inside the gate
@@ -363,9 +492,7 @@ class TestShutdownDrains:
                 threading.Event().wait(0.005)
             assert engine._queue.qsize() >= 1
             # The racing submit: enqueued after the sentinel, never batchable.
-            stranded = _PendingRequest(
-                np.atleast_2d(scream_data.X[:1]), Stopwatch(), on_complete=delivered.append
-            )
+            stranded = _PendingRequest(np.atleast_2d(scream_data.X[:1]), Stopwatch())
             with engine._inflight_cond:
                 engine._inflight += 1
             engine._queue.put_nowait(stranded)
@@ -377,7 +504,6 @@ class TestShutdownDrains:
             assert stranded.event.is_set(), "stranded request was abandoned"
             assert isinstance(stranded.error, ServeError)
             assert "closed before" in str(stranded.error)
-            assert delivered == [stranded]  # the completion callback fired too
             assert engine.metrics.counter("errors").value == errors_before + 1
             assert engine.quiesce(2.0), "inflight accounting leaked"
         finally:

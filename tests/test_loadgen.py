@@ -45,7 +45,7 @@ from repro.loadgen import (
     slow_client,
 )
 from repro.rng import check_random_state
-from repro.serve import MetricsRegistry, ServeConfig, ServeService, serve_async_http, serve_http
+from repro.serve import MetricsRegistry, ServeConfig, ServeService, serve_http
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
@@ -315,13 +315,13 @@ class TestInProcessTarget:
 
 
 class TestSocketLoad:
-    def test_open_loop_over_async_sockets_is_lossless(self, served_scream_registry, scream_data):
+    def test_open_loop_over_threaded_sockets_is_lossless(self, served_scream_registry, scream_data):
         service = ServeService.from_registry(
             "scream",
             directory=served_scream_registry.directory,
             config=ServeConfig(max_batch=16),
         )
-        server = serve_async_http(service)
+        server = serve_http(service)
         try:
             target = HttpTarget(server.url)
             report = run_workload(target, scream_data.X, open_loop(30, 600.0, clients=4), seed=9)
@@ -339,7 +339,7 @@ class TestSocketLoad:
             directory=served_scream_registry.directory,
             config=ServeConfig(max_batch=2, queue_bound=2, request_timeout=2.0),
         )
-        server = serve_async_http(service)
+        server = serve_http(service)
         try:
             shape = flash_crowd(150, 100.0, 5000.0, clients=8, request_timeout=5.0)
             report = run_workload(HttpTarget(server.url), scream_data.X, shape, seed=11)
@@ -356,7 +356,7 @@ class TestSocketLoad:
             directory=served_scream_registry.directory,
             config=ServeConfig(max_batch=16),
         )
-        server = serve_async_http(service)
+        server = serve_http(service)
         try:
             shape = connection_churn(60, 600.0, abort_fraction=0.25, clients=4)
             report = run_workload(HttpTarget(server.url), scream_data.X, shape, seed=13)
@@ -368,20 +368,19 @@ class TestSocketLoad:
         assert report.offered == 60
 
     @pytest.mark.slow
-    def test_slow_clients_dribble_through_both_transports(
+    def test_slow_clients_dribble_through_the_threaded_server(
         self, served_scream_registry, scream_data
     ):
-        for start_server in (serve_http, serve_async_http):
-            service = ServeService.from_registry(
-                "scream",
-                directory=served_scream_registry.directory,
-                config=ServeConfig(max_batch=16),
-            )
-            server = start_server(service)
-            try:
-                shape = slow_client(16, 400.0, dribble_chunk=24, dribble_delay=0.002, clients=4)
-                report = run_workload(HttpTarget(server.url), scream_data.X, shape, seed=17)
-            finally:
-                server.close()
-            assert report.completed == 16, start_server.__name__
-            check_accounting(report)
+        service = ServeService.from_registry(
+            "scream",
+            directory=served_scream_registry.directory,
+            config=ServeConfig(max_batch=16),
+        )
+        server = serve_http(service)
+        try:
+            shape = slow_client(16, 400.0, dribble_chunk=24, dribble_delay=0.002, clients=4)
+            report = run_workload(HttpTarget(server.url), scream_data.X, shape, seed=17)
+        finally:
+            server.close()
+        assert report.completed == 16
+        check_accounting(report)

@@ -1,11 +1,10 @@
-"""Tests for repro.serve.router — the transport-shared request dispatcher.
+"""Tests for repro.serve.router — the sockets-free request dispatcher.
 
 Covers the dispatcher's contract for the one service a listener serves:
 route parsing, payload validation, and the typed-error → status mapping
-that both transports share.  Malformed ``rows`` bodies get a typed 400
-on real sockets (and leave the event-loop transport serving), and a
-Hypothesis fuzzer checks that no JSON body on any path escapes the
-status contract.
+the HTTP server renders.  Malformed ``rows`` bodies get a typed 400 on
+real sockets (and leave the server serving), and a Hypothesis fuzzer
+checks that no JSON body on any path escapes the status contract.
 """
 
 import http.client
@@ -22,7 +21,7 @@ from repro.exceptions import (
     ServeError,
     ValidationError,
 )
-from repro.serve import RequestDispatcher, ServeConfig, ServeService, serve_async_http, serve_http
+from repro.serve import RequestDispatcher, ServeConfig, ServeService, serve_http
 from repro.serve.http import parse_json_body
 from repro.serve.router import RouteNotFound
 
@@ -135,7 +134,7 @@ MALFORMED_ROWS = [
 class TestMalformedRows:
     """Bad ``rows`` get a typed 400 on real sockets, and serving goes on."""
 
-    @pytest.mark.parametrize("factory", [serve_http, serve_async_http], ids=["threaded", "async"])
+    @pytest.mark.parametrize("factory", [serve_http], ids=["threaded"])
     def test_bad_rows_are_400_and_the_server_keeps_serving(
         self, factory, served_scream_registry, scream_data
     ):
@@ -192,13 +191,13 @@ def test_dispatcher_answers_every_body_and_path_within_the_contract(served_screa
             if method == "GET":
                 status, payload = dispatcher.get(path)
             else:
-                try:  # what both transports do with the raw body first
+                try:  # what the HTTP server does with the raw body first
                     parsed = parse_json_body(json.dumps(body).encode("utf-8"))
                 except ValidationError as error:
                     status, payload = dispatcher.error_response(error)
                 else:
                     status, payload = dispatcher.post(path, parsed)
             assert status in {200, 400, 404, 503, 504}
-            json.dumps(payload)  # every answer must be encodable by a transport
+            json.dumps(payload)  # every answer must be encodable by the HTTP server
 
         exchange()

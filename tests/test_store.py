@@ -54,8 +54,7 @@ from repro.store import (
     blob_digest,
     serve_store_http,
 )
-from repro.store.server import BLOB_SIZE_HEADER
-from repro.store.service import CHUNK_BYTES
+from repro.store.client import FAILURE_THRESHOLD, MAX_PENDING_PUSHES, RETRIES
 
 
 def _key(tag: str) -> str:
@@ -96,7 +95,6 @@ class TestStoreService:
         with handle:
             assert handle.read() == blob
         assert size == len(blob) and digest == blob_digest(blob)
-        assert service.stat_key(key)["bytes"] == len(blob)
 
     def test_digest_mismatch_installs_nothing(self, tmp_path):
         service = StoreService(tmp_path)
@@ -140,24 +138,6 @@ class TestStoreService:
             with pytest.raises(StoreUnavailableError, match="shut down"):
                 call()
 
-    def test_stat_key_hashes_the_file_without_buffering_or_counting_a_fetch(self, tmp_path, monkeypatch):
-        service = StoreService(tmp_path)
-        key, blob = _key("stat"), os.urandom(2 * CHUNK_BYTES + 17)
-        _put(service, key, blob, blob_digest(blob))
-
-        def buffered(key):
-            raise AssertionError("stat_key must not buffer the whole blob")
-
-        monkeypatch.setattr(service.cache, "read_blob", buffered)
-        stat = service.stat_key(key)
-        assert service.metrics()["counters"].get("fetches", 0) == 0
-        handle, size, digest = service.open_blob(key)
-        handle.close()
-        assert stat == {"key": key, "bytes": size, "sha256": digest}
-        assert size == len(blob) and digest == blob_digest(blob)
-        with pytest.raises(KeyError):
-            service.stat_key(_key("absent"))
-
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(blob=st.binary(min_size=0, max_size=4096))
     def test_round_trip_bitwise_for_arbitrary_bytes(self, tmp_path, blob):
@@ -172,21 +152,18 @@ class TestStoreService:
 
 
 class TestWireProtocol:
-    def test_push_fetch_head_miss(self, store_server):
+    def test_push_fetch_miss(self, store_server):
         client = StoreClient(store_server.url)
         key, blob = _key("wire"), b"\x00\x01wire bytes\xff" * 50
         assert client.fetch(key) is None  # miss before push
-        assert client.head(key) is None
         result = client.push(key, blob)
         assert result["sha256"] == blob_digest(blob) and result["installed"] is True
         assert client.fetch(key) == blob
-        head = client.head(key)
-        assert head == {"key": key, "bytes": len(blob), "sha256": blob_digest(blob)}
         assert client.healthz()["role"] == "artifact-store"
         assert client.stat()["entries"] == 1
 
     def test_head_sends_headers_without_a_body(self, store_server):
-        """HEAD answers GET's headers and no body, keeping keep-alive framing."""
+        """HEAD gets the stdlib's bodiless 501 and a close, so no stray bytes desync a reply."""
         client = StoreClient(store_server.url)
         key, blob = _key("head"), b"head bytes" * 40
         client.push(key, blob)
@@ -196,17 +173,14 @@ class TestWireProtocol:
             for path in (f"/artifacts/{key}", "/healthz"):
                 connection.request("HEAD", path)
                 response = connection.getresponse()
-                assert response.status == 200 and response.read() == b""
-            assert response.headers["Content-Type"] == "application/json"
-            connection.request("HEAD", f"/artifacts/{key}")
-            response = connection.getresponse()
-            response.read()
-            assert response.headers["Content-Length"] == str(len(blob))
-            assert response.headers[BLOB_SIZE_HEADER] == str(len(blob))
-            assert response.headers[BLOB_DIGEST_HEADER] == blob_digest(blob)
-            # The same connection still parses the next response: no stray body bytes.
+                assert response.status == 501 and response.read() == b""
+                assert response.headers["Connection"] == "close"
+                assert response.will_close
+            # The next request on this client parses cleanly (over a fresh socket).
             connection.request("GET", f"/artifacts/{key}")
-            assert connection.getresponse().read() == blob
+            response = connection.getresponse()
+            assert response.status == 200 and response.read() == blob
+            assert response.headers[BLOB_DIGEST_HEADER] == blob_digest(blob)
         finally:
             connection.close()
 
@@ -385,15 +359,13 @@ class TestRemoteCacheTier:
         probe = ThreadingHTTPServer(("127.0.0.1", 0), BaseHTTPRequestHandler)
         host, port = probe.server_address[:2]
         probe.server_close()
-        tier = RemoteCacheTier(
-            ArtifactCache(tmp_path), f"http://{host}:{port}",
-            retries=0, failure_threshold=1,
-        )
-        hit, _ = tier.load(_key("gone"))
-        assert not hit
+        tier = RemoteCacheTier(ArtifactCache(tmp_path), f"http://{host}:{port}")
+        for index in range(FAILURE_THRESHOLD):
+            hit, _ = tier.load(_key(f"gone{index}"))
+            assert not hit
         stats = tier.remote_stats()
         assert stats["degraded"] is True and stats["degradations"] == 1
-        assert stats["remote_fetch_failures"] == 1
+        assert stats["remote_fetch_failures"] == FAILURE_THRESHOLD
         # Local-only service continues: stores land, loads answer, pushes drop.
         tier.store(_key("local-life"), "still works")
         assert tier.load(_key("local-life")) == (True, "still works")
@@ -402,31 +374,31 @@ class TestRemoteCacheTier:
 
     def test_fetch_retries_are_bounded_and_deterministic(self, tmp_path):
         client = _ScriptedClient(fetch=_raise(StoreUnavailableError("down")))
-        tier = RemoteCacheTier(ArtifactCache(tmp_path), "http://unused", retries=2, client=client)
+        tier = RemoteCacheTier(ArtifactCache(tmp_path), "http://unused", client=client)
         hit, _ = tier.load(_key("r"))
         assert not hit
-        assert len(client.fetch_calls) == 3  # retries + 1, back-to-back
+        assert RETRIES == 2
+        assert len(client.fetch_calls) == 3  # RETRIES + 1, back-to-back
         assert tier.remote_stats()["remote_fetch_failures"] == 1
         tier.close()
 
     def test_breaker_trips_after_threshold_and_stops_calling(self, tmp_path):
         client = _ScriptedClient(fetch=_raise(StoreUnavailableError("down")))
-        tier = RemoteCacheTier(
-            ArtifactCache(tmp_path), "http://unused",
-            retries=0, failure_threshold=2, client=client,
-        )
+        tier = RemoteCacheTier(ArtifactCache(tmp_path), "http://unused", client=client)
+        assert FAILURE_THRESHOLD == 3
         tier.load(_key("a"))
-        assert tier.degraded is False
         tier.load(_key("b"))
+        assert tier.degraded is False
+        tier.load(_key("c"))
         assert tier.degraded is True
-        tier.load(_key("c"))  # breaker open: the wire is not touched again
-        assert len(client.fetch_calls) == 2
+        tier.load(_key("d"))  # breaker open: the wire is not touched again
+        assert len(client.fetch_calls) == 3 * (RETRIES + 1)
         assert tier.remote_stats()["degradations"] == 1
         tier.close()
 
     def test_integrity_failure_is_never_retried(self, tmp_path):
         client = _ScriptedClient(fetch=_raise(StoreIntegrityError("corrupt")))
-        tier = RemoteCacheTier(ArtifactCache(tmp_path), "http://unused", retries=3, client=client)
+        tier = RemoteCacheTier(ArtifactCache(tmp_path), "http://unused", client=client)
         hit, _ = tier.load(_key("c"))
         assert not hit
         assert len(client.fetch_calls) == 1  # corrupt bytes are not worth re-reading
@@ -444,14 +416,13 @@ class TestRemoteCacheTier:
 
     def test_typed_push_rejection_does_not_trip_breaker(self, tmp_path):
         client = _ScriptedClient(push=_raise(PayloadTooLargeError("too big")))
-        tier = RemoteCacheTier(
-            ArtifactCache(tmp_path), "http://unused",
-            failure_threshold=1, client=client,
-        )
-        tier.store(_key("fat"), "x" * 64)
+        tier = RemoteCacheTier(ArtifactCache(tmp_path), "http://unused", client=client)
+        for index in range(FAILURE_THRESHOLD):
+            tier.store(_key(f"fat{index}"), "x" * 64)
         assert tier.flush(timeout=10.0) is True
         stats = tier.remote_stats()
-        assert stats["push_failures"] == 1 and stats["degraded"] is False
+        assert stats["push_failures"] == FAILURE_THRESHOLD and stats["degraded"] is False
+        assert len(client.push_calls) == FAILURE_THRESHOLD  # a typed rejection is not retried
         tier.close()
 
     def test_push_queue_overflow_drops_instead_of_blocking(self, tmp_path):
@@ -462,18 +433,17 @@ class TestRemoteCacheTier:
             return {"installed": True}
 
         client = _ScriptedClient(push=blocking_push)
-        tier = RemoteCacheTier(
-            ArtifactCache(tmp_path), "http://unused",
-            max_pending_pushes=1, client=client,
-        )
+        tier = RemoteCacheTier(ArtifactCache(tmp_path), "http://unused", client=client)
         tier.store(_key("q0"), 0)  # dequeued by the worker, blocks in push
         for _ in range(50):  # wait (bounded) for the worker to take it
             if not tier.remote_stats()["pending_pushes"]:
                 break
             threading.Event().wait(0.01)
-        tier.store(_key("q1"), 1)  # fills the queue
-        tier.store(_key("q2"), 2)  # overflow: dropped, store() returns at once
+        for index in range(MAX_PENDING_PUSHES):  # fills the queue
+            tier.store(_key(f"q{index + 1}"), index)
+        tier.store(_key("overflow"), -1)  # dropped, store() returns at once
         assert tier.remote_stats()["push_drops"] >= 1
+        assert tier.remote_stats()["pending_pushes"] <= MAX_PENDING_PUSHES
         release.set()
         assert tier.flush(timeout=10.0) is True
         tier.close()
