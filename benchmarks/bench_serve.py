@@ -1,7 +1,7 @@
 """Benchmark the serving subsystem: micro-batching vs one-at-a-time.
 
 Fits a small AutoML ensemble on the Scream dataset, publishes it through
-the model registry, and drives the in-process serving client from
+the model registry, and drives `ServeService.predict` in process from
 concurrent threads under three regimes:
 
 - ``unbatched`` — ``max_batch=1``: every request is its own model call
@@ -39,7 +39,7 @@ from repro.automl import AutoMLClassifier
 from repro.datasets import generate_scream_dataset
 from repro.exceptions import BackpressureError
 from repro.runtime.clock import Stopwatch
-from repro.serve import InProcessClient, ModelRegistry, ServeConfig, ServeService
+from repro.serve import ModelRegistry, ServeConfig, ServeService
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,7 +53,6 @@ def drive(service: ServeService, X, total_requests: int, n_threads: int, *, retr
     Returns wall seconds, per-request outcomes, and the service's own
     metrics snapshot so throughput and latency come from the same run.
     """
-    client = InProcessClient(service)
     cursor = {"next": 0}
     outcomes = {"ok": 0, "shed": 0}
     labels: dict[int, int] = {}
@@ -69,7 +68,7 @@ def drive(service: ServeService, X, total_requests: int, n_threads: int, *, retr
             row_index = index % X.shape[0]
             while True:
                 try:
-                    response = client.predict(X[row_index : row_index + 1].tolist())
+                    response = service.predict(X[row_index : row_index + 1].tolist())
                 except BackpressureError:
                     with lock:
                         outcomes["shed"] += 1

@@ -14,10 +14,10 @@ This package is that loop's serving side, stdlib-only, in five pieces:
   points inside the registered feedback subspace or with live committee
   disagreement, feeding a bounded :class:`LabelingQueue`;
 - :mod:`~repro.serve.service` / :mod:`~repro.serve.router` /
-  :mod:`~repro.serve.http` / :mod:`~repro.serve.client` — one façade
-  serving one model per listener, a sockets-free request dispatcher,
-  and two ways in (in-process and threaded HTTP JSON) that return the
-  same payloads;
+  :mod:`~repro.serve.http` — one façade serving one model per
+  listener, a sockets-free request dispatcher, and the threaded HTTP
+  JSON transport, whose payloads equal the service's in process (its
+  handler and server bases also carry the artifact store's listener);
 - :mod:`~repro.serve.metrics` — thread-safe counters and quantile
   histograms behind ``/metrics``.
 
@@ -25,7 +25,6 @@ This package is that loop's serving side, stdlib-only, in five pieces:
 package on the CLI.
 """
 
-from .client import InProcessClient
 from .engine import InferenceEngine, Prediction, ServeConfig, ShadowMirror
 from .http import ServeHTTPServer, serve_http
 from .metrics import Counter, Histogram, MetricsRegistry
@@ -49,7 +48,6 @@ __all__ = [
     "ServeHTTPServer",
     "serve_http",
     "RequestDispatcher",
-    "InProcessClient",
     "MetricsRegistry",
     "Counter",
     "Histogram",

@@ -19,6 +19,14 @@ this module only frames bytes.  It is the one HTTP transport
 ``python -m repro serve`` runs, and a request served here yields the
 same JSON payload as :meth:`ServeService.predict` in process.
 
+:class:`JSONRequestHandler` and :class:`ThreadedHTTPServer` are the
+socket plumbing this listener shares with the artifact store's
+(:mod:`repro.store.server`): HTTP/1.1 keep-alive with Nagle off, JSON
+reply framing, ``Content-Length`` parsing, a per-connection deadline
+(:data:`IDLE_TIMEOUT_S`), a quiet end for a client that leaves before
+its reply, and typed JSON bodies with a status line for the stdlib's
+own protocol errors.
+
 Shutdown drains: :meth:`ServeHTTPServer.close` first stops accepting
 connections, then quiesces the service so every request already in the
 engine's queue is batched, processed, and answered before the engine
@@ -29,71 +37,137 @@ from __future__ import annotations
 
 import json
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..exceptions import ValidationError
 from .router import RequestDispatcher
 from .service import ServeService
 
-__all__ = ["ServeHTTPServer", "serve_http"]
+__all__ = ["JSONRequestHandler", "ThreadedHTTPServer", "ServeHTTPServer", "serve_http"]
 
 #: Largest request body accepted, to bound memory per connection.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Seconds a connection may wait on one socket read or write before the
+#: server closes it, so a client that stalls mid-request or idles on
+#: keep-alive cannot park a handler thread for good.  It must stay well
+#: above the keep-alive gaps of real clients (perfbench ``serve_http``
+#: holds two connections open from warm-up through the timed phase).
+IDLE_TIMEOUT_S = 60.0
 
-class _Handler(BaseHTTPRequestHandler):
-    """Socket plumbing only; all semantics live in the dispatcher."""
 
-    server: "ServeHTTPServer"
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """Socket plumbing shared by the serve and store listeners."""
+
     protocol_version = "HTTP/1.1"
+    # A request line that names no version is answered as HTTP/1.0, with
+    # a status line, instead of the stdlib's bare HTTP/0.9 body.
+    default_request_version = "HTTP/1.0"
     # Headers and body go out in two sends; with Nagle on, a keep-alive
     # reply waits for the client's delayed ACK (~40 ms on Linux).
     disable_nagle_algorithm = True
-
-    # -- plumbing ----------------------------------------------------------
+    # The stdlib's handle_one_request turns a TimeoutError into a close.
+    timeout = IDLE_TIMEOUT_S
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # silence per-request stderr lines; metrics cover observability
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client left before its reply; there is no one to answer
+
+    def send_response_only(self, code, message=None) -> None:
+        # "GET / HTTP/0.9" would otherwise get a reply with no status line.
+        if self.request_version == "HTTP/0.9":
+            self.request_version = self.default_request_version
+        super().send_response_only(code, message)
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Answer a stdlib protocol error (400, 414, 431, 501, 505) as typed JSON."""
+        self.close_connection = True
+        if self.command == "HEAD" or code < 200 or code in (204, 205, 304):
+            self.send_response(code)
+            self.send_header("Connection", "close")
+            self.end_headers()
+            return
+        self.send_json(code, {"error": message or HTTPStatus(code).phrase, "type": "ProtocolError"})
+
+    def send_head(
+        self, status: int, content_type: str, length: int, headers: dict[str, str] | None = None
+    ) -> None:
+        """Status line and headers of a reply whose ``length`` body bytes follow."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(length))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
+
+    def send_json(self, status: int, payload: dict) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        self.send_head(status, "application/json", len(body))
         self.wfile.write(body)
 
-    def _read_body(self) -> dict:
+    def content_length(self, limit: int | None = None) -> int:
+        """The declared body length; a 400 for a bad one or one above ``limit``.
+
+        A body that will not be read leaves the connection's framing
+        lost, so the connection is marked to close before raising.
+        """
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            # The body stays unread, so the connection's framing is lost.
-            self.close_connection = True
-            if length < 0:
-                raise ValidationError("invalid Content-Length")
-            raise ValidationError(f"request body too large ({length} bytes > {MAX_BODY_BYTES})")
-        raw = self.rfile.read(length) if length else b"{}"
-        return parse_json_body(raw)
+        if length >= 0 and (limit is None or length <= limit):
+            return length
+        self.close_connection = True
+        if length < 0:
+            raise ValidationError("invalid Content-Length")
+        raise ValidationError(f"request body too large ({length} bytes > {limit})")
 
-    # -- routes ------------------------------------------------------------
+
+class ThreadedHTTPServer(ThreadingHTTPServer):
+    """A :class:`ThreadingHTTPServer` with daemon handler threads."""
+
+    daemon_threads = True
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def serve_background(self) -> threading.Thread:
+        """Serve on a daemon thread; returns it (caller keeps the server)."""
+        thread = threading.Thread(
+            target=self.serve_forever, name=f"repro-{type(self).__name__}", daemon=True
+        )
+        thread.start()
+        return thread
+
+
+class _Handler(JSONRequestHandler):
+    """Serve routes; all semantics live in the dispatcher."""
+
+    server: "ServeHTTPServer"
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib dispatch name
-        status, payload = self.server.dispatcher.get(self.path)
-        self._send_json(status, payload)
+        self.send_json(*self.server.dispatcher.get(self.path))
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib dispatch name
         dispatcher = self.server.dispatcher
         try:
-            payload = self._read_body()
+            length = self.content_length(MAX_BODY_BYTES)
+            payload = parse_json_body(self.rfile.read(length) if length else b"{}")
         except ValidationError as error:
             status, body = dispatcher.error_response(error)
         else:
             status, body = dispatcher.post(self.path, payload)
-        self._send_json(status, body)
+        self.send_json(status, body)
 
 
 def parse_json_body(raw: bytes) -> dict:
@@ -107,26 +181,13 @@ def parse_json_body(raw: bytes) -> dict:
     return payload
 
 
-class ServeHTTPServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` bound to one service."""
-
-    daemon_threads = True
+class ServeHTTPServer(ThreadedHTTPServer):
+    """The threaded HTTP server bound to one service."""
 
     def __init__(self, service: ServeService, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _Handler)
         self.service = service
         self.dispatcher = RequestDispatcher(service)
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def serve_background(self) -> threading.Thread:
-        """Serve on a daemon thread; returns it (caller keeps the server)."""
-        thread = threading.Thread(target=self.serve_forever, name="repro-serve-http", daemon=True)
-        thread.start()
-        return thread
 
     def close(self, *, drain_timeout: float = 5.0) -> None:
         """Stop accepting, drain in-flight requests, then close the engine.

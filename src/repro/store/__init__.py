@@ -10,8 +10,9 @@ machine's cache with the records provably unchanged.  Three pieces:
 - :mod:`~repro.store.service` — :class:`StoreService`: validated blob
   get/put/stat with SHA-256 wire integrity and a typed 400/404/413/503
   error contract;
-- :mod:`~repro.store.server` — :class:`StoreDispatcher` (HTTP semantics
-  sans sockets) plus the threaded transport with streamed bodies;
+- :mod:`~repro.store.server` — :class:`StoreHTTPServer`, the threaded
+  transport (streamed bodies) on the socket plumbing it shares with
+  :mod:`repro.serve.http`;
 - :mod:`~repro.store.client` — :class:`StoreClient` (urllib wire
   client) and :class:`RemoteCacheTier`, the read-through/write-through
   wrapper around a local cache; pass
@@ -23,12 +24,11 @@ machine's cache with the records provably unchanged.  Three pieces:
 """
 
 from .client import RemoteCacheTier, StoreClient
-from .server import BLOB_DIGEST_HEADER, StoreDispatcher, StoreHTTPServer, serve_store_http
+from .server import BLOB_DIGEST_HEADER, StoreHTTPServer, serve_store_http
 from .service import DEFAULT_MAX_BLOB_BYTES, StoreService, blob_digest
 
 __all__ = [
     "StoreService",
-    "StoreDispatcher",
     "StoreHTTPServer",
     "serve_store_http",
     "StoreClient",

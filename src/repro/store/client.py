@@ -149,9 +149,6 @@ class StoreClient:
     def stat(self) -> dict[str, Any]:
         return self._json("/stat")
 
-    def healthz(self) -> dict[str, Any]:
-        return self._json("/healthz")
-
 
 class RemoteCacheTier:
     """Read-through/write-through remote peer over a local cache.

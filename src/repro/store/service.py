@@ -73,7 +73,7 @@ class StoreService:
         Hard per-blob size bound; oversize requests get a typed 413.
     metrics:
         Optional shared :class:`MetricsRegistry` (one is created if
-        omitted); its snapshot is the ``/metrics`` payload.
+        omitted); its snapshot is the ``metrics`` field of ``/stat``.
     """
 
     def __init__(
@@ -207,9 +207,6 @@ class StoreService:
     def healthz(self) -> dict[str, Any]:
         self._check_open()
         return {"status": "ok", "role": "artifact-store", "directory": str(self.cache.directory)}
-
-    def metrics(self) -> dict[str, Any]:
-        return self.metrics_registry.snapshot()
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -1,17 +1,21 @@
-"""The threaded HTTP server's wire contract, on real sockets.
+"""The threaded HTTP listeners' wire contract, on real sockets.
 
-The server delegates semantics to the sockets-free
+The serve server delegates semantics to the sockets-free
 :class:`~repro.serve.router.RequestDispatcher`, and these tests check
 what only a socket can show:
 
 - the documented error contract (400 malformed/oversized, 404 unknown
   route or model, 503 shed, 504 timeout) with typed JSON error bodies;
 - connection handling: pipelined requests answered in order, a
-  malformed request line answered 400 while the server keeps serving,
-  ``Connection: close`` honoured, and a socket-level Hypothesis fuzzer
+  malformed or versionless request line answered with a typed 400 while
+  the server keeps serving, and ``Connection: close`` honoured;
+- on both listeners (serve and the artifact store, which share one
+  handler base): a connection that stalls mid-request or idles on
+  keep-alive is closed at the deadline, a client that leaves before its
+  reply is no server error, and a socket-level Hypothesis fuzzer
   (request lines, header blocks, ``Content-Length`` values, truncated
-  bodies) under which every exchange ends in a status line or a clean
-  close and the server stays healthy;
+  bodies) under which every exchange ends in a complete ``HTTP/1.x``
+  status line or a clean close and the server stays healthy;
 - a seeded workload served over HTTP yields payloads **bitwise equal**
   to :meth:`ServeService.predict` in process, and the two services'
   counters reconcile;
@@ -21,10 +25,12 @@ what only a socket can show:
   of holding its waiter until timeout.
 """
 
+import hashlib
 import http.client
 import json
 import socket
 import statistics
+import struct
 import sys
 import threading
 
@@ -36,10 +42,11 @@ from hypothesis import strategies as st
 from repro.exceptions import ServeError
 from repro.loadgen import HttpTarget
 from repro.rng import check_random_state
-from repro.runtime.clock import Stopwatch
+from repro.runtime.clock import Deadline, Stopwatch
 from repro.serve import InferenceEngine, ServeConfig, ServeService, serve_http
 from repro.serve.engine import _PendingRequest
-from repro.serve.http import MAX_BODY_BYTES
+from repro.serve.http import MAX_BODY_BYTES, JSONRequestHandler
+from repro.store import BLOB_DIGEST_HEADER, StoreService, serve_store_http
 
 
 def _host_port(url: str) -> tuple[str, int]:
@@ -91,6 +98,31 @@ def server(start_server, served_scream_registry):
     server = start_server(service)
     yield server
     server.close()
+
+
+@pytest.fixture(params=["threaded", "store"])
+def listener(request, served_scream_registry, tmp_path):
+    """Each listener on the shared handler base: serve (``threaded``) and store."""
+    if request.param == "threaded":
+        service = ServeService.from_registry(
+            "scream", directory=served_scream_registry.directory, config=ServeConfig(max_batch=16)
+        )
+        server = serve_http(service)
+    else:
+        server = serve_store_http(StoreService(tmp_path / "store"))
+    yield server
+    server.close()
+
+
+def _handler_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.endswith("(process_request_thread)")]
+
+
+def _wait_for_no_handler_threads(seconds: float = 5.0) -> None:
+    deadline = Deadline(seconds)
+    while _handler_threads() and deadline.remaining() > 0:
+        threading.Event().wait(0.02)
+    assert _handler_threads() == []
 
 
 class TestErrorContract:
@@ -176,15 +208,18 @@ class TestConnectionHandling:
                 assert status == 200 and json.loads(body)["status"] == "ok"
 
     def test_malformed_request_line_is_400_and_serving_goes_on(self, server):
-        # Four words: the version parses (so the reply has a status line),
-        # the line does not.
-        with socket.create_connection(_host_port(server.url), timeout=5.0) as sock:
-            sock.sendall(b"GET /healthz extra HTTP/1.1\r\n\r\n")
-            with sock.makefile("rb") as reader:
-                status, headers, _ = _read_response(reader)
-                assert status == 400
-                assert headers.get("connection") == "close"
-                assert reader.read() == b""  # the server closed its side
+        # Four words, or one word that names no HTTP version: either way
+        # the reply has a status line and a typed JSON body.
+        for line in (b"GET /healthz extra HTTP/1.1", b"garbage"):
+            with socket.create_connection(_host_port(server.url), timeout=5.0) as sock:
+                sock.sendall(line + b"\r\n\r\n")
+                with sock.makefile("rb") as reader:
+                    assert reader.peek(9)[:9] == b"HTTP/1.1 ", line
+                    status, headers, body = _read_response(reader)
+                    assert status == 400
+                    assert headers.get("connection") == "close"
+                    assert json.loads(body)["type"] == "ProtocolError"
+                    assert reader.read() == b""  # the server closed its side
         status, body = _raw_exchange(server.url, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
         assert status == 200 and json.loads(body)["status"] == "ok"
 
@@ -200,27 +235,50 @@ class TestConnectionHandling:
 
 
 _TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=8)
+_FUZZ_KEY = hashlib.sha256(b"fuzz").hexdigest()
+
+#: Per listener: the paths its routes know, and the statuses it may send.
+#: Both send the stdlib's protocol errors (414 URI too long, 431 headers,
+#: 501 method, 505 version) and 100 Continue beside their own statuses.
+_FUZZ_SURFACES = {
+    ServeService: (
+        ["/predict", "/predict/scream", "/feedback", "/healthz", "/metrics"],
+        {100, 200, 400, 404, 414, 431, 501, 505},
+    ),
+    StoreService: (
+        [f"/artifacts/{_FUZZ_KEY}", "/artifacts/abc", "/stat", "/healthz"],
+        {100, 200, 400, 404, 413, 414, 431, 501, 503, 505},
+    ),
+}
 
 
-def _lines(versions):
+def _lines(paths, versions):
     return st.builds(
         lambda method, path, version: " ".join(part for part in (method, path, version) if part),
         st.sampled_from(["GET", "POST", "PUT", "HEAD", "DELETE"]),
-        st.sampled_from(["/predict", "/predict/scream", "/feedback", "/healthz", "/metrics", "/nope", "*"])
-        | _TOKEN.map(lambda tail: "/" + tail),
+        st.sampled_from([*paths, "/nope", "*"]) | _TOKEN.map(lambda tail: "/" + tail),
         st.sampled_from(versions),
     )
 
 
-_REQUEST_LINES = st.one_of(
-    _lines(["HTTP/1.1", "HTTP/1.0"]),
-    _lines(["HTTP/0.9", "HTTP/2.0", "HTTP/1.1 x", "http/1.1", ""]),
-    st.text(st.characters(max_codepoint=255), max_size=40),
-)
+def _request_lines(paths):
+    return st.one_of(
+        _lines(paths, ["HTTP/1.1", "HTTP/1.0"]),
+        _lines(paths, ["HTTP/0.9", "HTTP/2.0", "HTTP/1.1 x", "http/1.1", ""]),
+        st.text(st.characters(max_codepoint=255), max_size=40),
+    )
+
+
 _HEADERS = st.lists(
     st.tuples(
-        st.sampled_from(["Host", "Connection", "Content-Type", "Expect", "Transfer-Encoding"]) | _TOKEN,
-        st.sampled_from(["close", "keep-alive", "100-continue", "chunked", "application/json", ""])
+        st.sampled_from(
+            ["Host", "Connection", "Content-Type", "Expect", "Transfer-Encoding", BLOB_DIGEST_HEADER]
+        )
+        | _TOKEN,
+        st.sampled_from(
+            ["close", "keep-alive", "100-continue", "chunked", "application/json", "",
+             hashlib.sha256(b"{}").hexdigest()]
+        )
         | st.text(st.characters(max_codepoint=255), max_size=12),
     ),
     max_size=5,
@@ -229,9 +287,6 @@ _CONTENT_LENGTHS = st.none() | st.integers(-3, 400).map(str) | _TOKEN
 _BODIES = st.sampled_from([b"", b"{}", b'{"rows": [[1, 2, 3, 4]]}', b'{"limit": 2}', b"[1]"]) | st.binary(
     max_size=200
 )
-#: Stdlib protocol errors (414 URI too long, 431 headers, 501 method,
-#: 505 version) and 100 Continue, beside the dispatcher's statuses.
-_FUZZ_STATUSES = {100, 200, 400, 404, 414, 431, 501, 505}
 
 
 def _fuzz_exchange(url: str, data: bytes) -> bytes:
@@ -252,38 +307,99 @@ def _fuzz_exchange(url: str, data: bytes) -> bytes:
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(
-    line=_REQUEST_LINES,
+    data=st.data(),
     headers=_HEADERS,
     content_length=_CONTENT_LENGTHS,
     body=_BODIES,
     keep=st.floats(0.0, 1.0),
 )
 def test_socket_fuzz_ends_in_a_status_line_or_a_clean_close(
-    server, line, headers, content_length, body, keep
+    listener, data, headers, content_length, body, keep
 ):
     """Arbitrary request bytes: a status line or a clean close, and serving goes on.
 
-    A reply without a status line is the stdlib's HTTP/0.9 answer to a
-    request line that names no HTTP/1.x version; it too must end in a
-    close.  No handler may raise: ``handle_error`` is the stdlib's hook
-    for an exception that escaped one.
+    Every non-empty reply starts with a complete ``HTTP/1.x`` status line,
+    even for a request line that names no HTTP/1.x version.  No handler
+    may raise: ``handle_error`` is the stdlib's hook for an exception
+    that escaped one.
     """
+    paths, statuses = _FUZZ_SURFACES[type(listener.service)]
+    line = data.draw(_request_lines(paths), label="line")
     raised = []
-    server.handle_error = lambda request, address: raised.append(sys.exc_info()[1])
+    listener.handle_error = lambda request, address: raised.append(sys.exc_info()[1])
     block = [line] + [f"{name}: {value}" for name, value in headers]
     if content_length is not None:
         block.append(f"Content-Length: {content_length}")
     truncated = body[: round(len(body) * keep)]
-    data = ("\r\n".join(block) + "\r\n\r\n").encode("latin-1") + truncated
-    received = _fuzz_exchange(server.url, data)
-    if received.startswith(b"HTTP/"):
+    sent = ("\r\n".join(block) + "\r\n\r\n").encode("latin-1") + truncated
+    received = _fuzz_exchange(listener.url, sent)
+    if received:
+        assert received.startswith((b"HTTP/1.0 ", b"HTTP/1.1 ")), received[:80]
         assert b"\r\n" in received, received[:80]  # the status line is complete
-        status_line = received.split(b"\r\n", 1)[0].split(b" ", 2)
-        assert len(status_line) >= 2 and status_line[0] in (b"HTTP/1.0", b"HTTP/1.1"), received[:80]
-        assert int(status_line[1]) in _FUZZ_STATUSES, received[:200]
+        assert int(received.split(b" ", 2)[1]) in statuses, received[:200]
     assert raised == []
-    status, payload = _raw_exchange(server.url, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+    status, payload = _raw_exchange(listener.url, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
     assert status == 200 and json.loads(payload)["status"] == "ok"
+
+
+class TestConnectionFaults:
+    """Each listener's connection faults, handled once in the shared handler base."""
+
+    def test_stalled_body_is_closed_at_the_deadline(self, listener, monkeypatch):
+        monkeypatch.setattr(JSONRequestHandler, "timeout", 0.5)
+        request = (
+            f"PUT /artifacts/{_FUZZ_KEY} HTTP/1.1\r\nHost: t\r\n"
+            f"{BLOB_DIGEST_HEADER}: {_FUZZ_KEY}\r\nContent-Length: 100\r\n\r\n"
+            if isinstance(listener.service, StoreService)
+            else "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n"
+        ).encode("latin-1")
+        with socket.create_connection(_host_port(listener.url), timeout=5.0) as sock:
+            sock.settimeout(5.0)  # without a server deadline, recv times out here
+            sock.sendall(request + b'{"ro')  # 4 of the 100 declared body bytes
+            assert sock.recv(65536) == b""  # closed by the server, unanswered
+        _wait_for_no_handler_threads()
+
+    def test_idle_keep_alive_is_closed_at_the_deadline(self, listener, monkeypatch):
+        monkeypatch.setattr(JSONRequestHandler, "timeout", 0.5)
+        with socket.create_connection(_host_port(listener.url), timeout=5.0) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            with sock.makefile("rb") as reader:
+                status, headers, _ = _read_response(reader)
+                assert status == 200 and "connection" not in headers  # kept alive
+                assert reader.read() == b""  # then closed by the server while idle
+        _wait_for_no_handler_threads()
+
+    def test_client_gone_before_its_reply_is_no_server_error(self, listener, monkeypatch, capsys):
+        raised = []
+        handle_error = listener.handle_error
+
+        def recording(request, address):
+            raised.append(sys.exc_info()[1])
+            handle_error(request, address)  # the stdlib prints the traceback
+
+        listener.handle_error = recording
+        entered, gate = threading.Event(), threading.Event()
+        healthz = listener.service.healthz
+
+        def gated():
+            entered.set()
+            gate.wait(10.0)
+            return healthz()
+
+        monkeypatch.setattr(listener.service, "healthz", gated)
+        sock = socket.create_connection(_host_port(listener.url), timeout=5.0)
+        try:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert entered.wait(5.0)  # the handler is computing the reply
+            # Linger 0: close sends a reset, so the reply's write must fail.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        finally:
+            sock.close()
+            gate.set()
+        _wait_for_no_handler_threads()
+        assert raised == []
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestOverloadContract:

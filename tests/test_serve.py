@@ -27,7 +27,6 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.serve import (
-    InProcessClient,
     InferenceEngine,
     LabelingQueue,
     MetricsRegistry,
@@ -141,9 +140,8 @@ class TestMonitorPieces:
 class TestEndToEndServing:
     def test_predictions_bitwise_identical_to_offline(self, service, fitted_automl, scream_data):
         """The acceptance core: serving == offline, bit for bit."""
-        client = InProcessClient(service)
         points = scream_data.X[:12]
-        response = client.predict(points.tolist())
+        response = service.predict(points.tolist())
         assert response["labels"] == fitted_automl.predict(points).tolist()
         np.testing.assert_array_equal(
             np.asarray(response["proba"]), fitted_automl.predict_proba(points)
@@ -157,27 +155,25 @@ class TestEndToEndServing:
         from repro.rng import check_random_state
 
         inside = region.sample(6, check_random_state(5))
-        client = InProcessClient(service)
-        client.feedback()  # drain anything earlier tests queued
-        response = client.predict(inside.tolist())
+        service.feedback()  # drain anything earlier tests queued
+        response = service.predict(inside.tolist())
         assert response["in_uncertain_region"] == [True] * 6
         assert response["in_feedback_region"] == [True] * 6
-        drained = client.feedback()
+        drained = service.feedback()
         assert len(drained["candidates"]) == 6
         assert all(c["in_feedback_region"] for c in drained["candidates"])
 
     def test_metrics_reflect_traffic(self, service, scream_data):
-        client = InProcessClient(service)
-        before = client.metrics()["counters"]["requests"]
-        client.predict(scream_data.X[:3].tolist())
-        snapshot = client.metrics()
+        before = service.metrics()["counters"]["requests"]
+        service.predict(scream_data.X[:3].tolist())
+        snapshot = service.metrics()
         assert snapshot["counters"]["requests"] == before + 1
         assert snapshot["histograms"]["latency_seconds"]["count"] >= 1
         assert "p95" in snapshot["histograms"]["latency_seconds"]
         assert "labeling_queue" in snapshot
 
     def test_healthz_identity(self, service, scream_data):
-        health = InProcessClient(service).healthz()
+        health = service.healthz()
         assert health["status"] == "ok"
         assert health["model"] == "scream" and health["version"] == 1
         assert health["feature_names"] == [d.name for d in scream_data.domains]

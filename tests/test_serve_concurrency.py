@@ -1,6 +1,6 @@
 """Concurrency tests for repro.serve: the engine under parallel load.
 
-Hammers the in-process client from many threads and checks the engine's
+Hammers the service from many threads and checks the engine's
 core promises hold under contention:
 
 - **no drops, no duplicates** — every accepted request gets exactly one
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import BackpressureError
-from repro.serve import InferenceEngine, InProcessClient, ModelRegistry, ServeConfig, ServeService
+from repro.serve import InferenceEngine, ModelRegistry, ServeConfig, ServeService
 
 N_THREADS = 8
 REQUESTS_PER_THREAD = 20
@@ -37,7 +37,6 @@ def bundle(tmp_path_factory, fitted_automl, scream_data):
 class TestParallelClients:
     def test_no_drops_no_duplicates_and_deterministic(self, bundle, fitted_automl, scream_data):
         service = ServeService(bundle, ServeConfig(max_batch=8, queue_bound=512))
-        client = InProcessClient(service)
         X = scream_data.X
         offline_labels = fitted_automl.predict(X)
         results: dict[tuple[int, int], dict] = {}
@@ -53,7 +52,7 @@ class TestParallelClients:
                 )
                 rows = X[start : start + ROWS_PER_REQUEST]
                 try:
-                    response = client.predict(rows.tolist())
+                    response = service.predict(rows.tolist())
                 except BaseException as error:  # collected, not raised mid-thread
                     with lock:
                         errors.append(error)
@@ -86,7 +85,6 @@ class TestParallelClients:
 
     def test_metrics_reconcile_with_ground_truth(self, bundle, scream_data):
         service = ServeService(bundle, ServeConfig(max_batch=8, queue_bound=512))
-        client = InProcessClient(service)
         X = scream_data.X
         sent_requests = 0
         sent_points = 0
@@ -96,7 +94,7 @@ class TestParallelClients:
             nonlocal sent_requests, sent_points
             for index in range(REQUESTS_PER_THREAD):
                 rows = X[index % 16 : index % 16 + 2]
-                client.predict(rows.tolist())
+                service.predict(rows.tolist())
                 with lock:
                     sent_requests += 1
                     sent_points += rows.shape[0]
@@ -106,7 +104,7 @@ class TestParallelClients:
             thread.start()
         for thread in threads:
             thread.join(60.0)
-        snapshot = client.metrics()
+        snapshot = service.metrics()
         service.close()
 
         counters = snapshot["counters"]

@@ -49,7 +49,6 @@ from repro.store import (
     BLOB_DIGEST_HEADER,
     RemoteCacheTier,
     StoreClient,
-    StoreDispatcher,
     StoreService,
     blob_digest,
     serve_store_http,
@@ -103,7 +102,7 @@ class TestStoreService:
             _put(service, key, b"real bytes", blob_digest(b"other bytes"))
         assert service.cache.read_blob(key) is None
         assert not list(tmp_path.glob("*/*.tmp"))  # the rejected temp file is gone too
-        assert service.metrics()["counters"]["integrity_rejections"] == 1
+        assert service.stat()["metrics"]["counters"]["integrity_rejections"] == 1
 
     def test_missing_digest_header_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="X-Repro-Blob-SHA256"):
@@ -118,7 +117,7 @@ class TestStoreService:
         with pytest.raises(PayloadTooLargeError):
             service.put_stream(key, (b"y" * 8 for _ in range(4)), blob_digest(blob))
         assert service.cache.read_blob(key) is None
-        assert service.metrics()["counters"]["oversized_rejections"] == 2
+        assert service.stat()["metrics"]["counters"]["oversized_rejections"] == 2
 
     def test_keys_must_be_full_sha256_digests(self, tmp_path):
         service = StoreService(tmp_path)
@@ -159,7 +158,8 @@ class TestWireProtocol:
         result = client.push(key, blob)
         assert result["sha256"] == blob_digest(blob) and result["installed"] is True
         assert client.fetch(key) == blob
-        assert client.healthz()["role"] == "artifact-store"
+        status, body, _ = _raw(store_server.url, "GET", "/healthz")
+        assert status == 200 and json.loads(body)["role"] == "artifact-store"
         assert client.stat()["entries"] == 1
 
     def test_head_sends_headers_without_a_body(self, store_server):
@@ -198,15 +198,9 @@ class TestWireProtocol:
         assert status == 404
 
     def test_unknown_routes_are_404(self, store_server):
-        for method, path in (("GET", "/nope"), ("PUT", "/stat")):
+        for method, path in (("GET", "/nope"), ("GET", "/metrics"), ("PUT", "/stat")):
             status, body, _ = _raw(store_server.url, method, path, body=b"" if method != "GET" else None)
             assert status == 404 and json.loads(body)["type"] == "NotFound"
-
-    def test_unknown_methods_are_404_in_the_dispatcher(self, tmp_path):
-        status, body, _, _ = StoreDispatcher(StoreService(tmp_path)).handle(
-            "DELETE", "/artifacts/" + _key("k")
-        )
-        assert status == 404 and json.loads(body)["type"] == "NotFound"
 
     def test_oversized_body_is_typed_413(self, tmp_path):
         service = StoreService(tmp_path, max_blob_bytes=64)
@@ -221,7 +215,7 @@ class TestWireProtocol:
             assert status == 413
             assert payload["type"] == "PayloadTooLargeError"
             assert "exceeds the store bound (64 bytes)" in payload["error"]
-            assert service.metrics()["counters"]["oversized_rejections"] == 1
+            assert service.stat()["metrics"]["counters"]["oversized_rejections"] == 1
         finally:
             server.close()
 
@@ -597,7 +591,7 @@ class TestRemoteWarmGrid:
             SerialExecutor(), cache=RemoteCacheTier(ArtifactCache(tmp_path / "local"), server.url)
         )
         try:
-            assert runtime.cache.client.healthz()["status"] == "ok"  # peer alive at start
+            assert runtime.cache.client.stat()["entries"] == 0  # peer alive at start
             server.close()  # ...and killed before the grid's first fetch
             clear_dataset_memo()
             table, record = run_table1(
@@ -620,8 +614,3 @@ class TestStoreErrors:
     def test_error_hierarchy(self):
         for kind in (StoreIntegrityError, PayloadTooLargeError, StoreUnavailableError):
             assert issubclass(kind, StoreError)
-
-    def test_unmapped_errors_reraise(self, tmp_path):
-        dispatcher = StoreDispatcher(StoreService(tmp_path))
-        with pytest.raises(KeyError):
-            dispatcher.error_response(KeyError("untyped"))
