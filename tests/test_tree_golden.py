@@ -7,7 +7,11 @@ single threshold, gain tie-break or random draw shows up here before it
 moves a grid score.  The classifier cases are the full product of
 criterion (gini, entropy), ``max_features`` (None, "sqrt", "log2", 0.5, 3),
 ``min_samples_leaf`` (1, 5) and splitter (best, random) over 2-, 3- and
-4-class data whose columns include heavy ties and a constant.  The other
+4-class data whose columns include heavy ties and a constant.  The forest
+cases are the product, for both random forests and extra-trees, of
+criterion, ``max_features`` (None, "log2", 0.5), ``min_samples_leaf`` (1,
+5) and ``max_depth`` (None, 4) over the same 2- and 4-class data, since
+forest members grow together and must each match a lone tree.  The other
 cases are regression trees, a random forest and extra-trees whose member
 bootstraps miss a rare class, and a gradient-boosting classifier with
 ``subsample`` < 1.
@@ -84,6 +88,18 @@ CLASSIFIER_GRID = list(
 )
 
 
+FOREST_GRID = list(
+    itertools.product(
+        (RandomForestClassifier, ExtraTreesClassifier),
+        (2, 4),
+        ("gini", "entropy"),
+        (None, "log2", 0.5),
+        (1, 5),
+        (None, 4),
+    )
+)
+
+
 def _classifier_name(n_classes, criterion, max_features, min_samples_leaf, splitter) -> str:
     return f"clf_{n_classes}class_{criterion}_mf{max_features}_leaf{min_samples_leaf}_{splitter}"
 
@@ -121,6 +137,24 @@ def _fit_forest(cls):
     return [tree.tree_ for tree in forest.estimators_]
 
 
+def _forest_name(cls, n_classes, criterion, max_features, min_samples_leaf, max_depth) -> str:
+    kind = "rf" if cls is RandomForestClassifier else "et"
+    return f"{kind}_{n_classes}class_{criterion}_mf{max_features}_leaf{min_samples_leaf}_depth{max_depth}"
+
+
+def _fit_forest_grid(cls, n_classes, criterion, max_features, min_samples_leaf, max_depth, seed):
+    X, y = _classification_data(n_classes)
+    forest = cls(
+        n_estimators=3,
+        criterion=criterion,
+        max_features=max_features,
+        min_samples_leaf=min_samples_leaf,
+        max_depth=max_depth,
+        random_state=seed,
+    ).fit(X, y)
+    return [tree.tree_ for tree in forest.estimators_]
+
+
 def _fit_boosting():
     X, y = _classification_data(3, seed=5, n=70)
     model = GradientBoostingClassifier(n_estimators=4, max_depth=3, subsample=0.7, random_state=6).fit(X, y)
@@ -134,6 +168,8 @@ def _cases() -> dict:
     for max_depth, min_samples_leaf, max_features in ((None, 1, None), (4, 1, None), (None, 5, None), (None, 1, "sqrt")):
         name = f"reg_depth{max_depth}_leaf{min_samples_leaf}_mf{max_features}"
         cases[name] = lambda args=(max_depth, min_samples_leaf, max_features): _fit_regressor(*args)
+    for seed, params in enumerate(FOREST_GRID):
+        cases[_forest_name(*params)] = lambda params=params, seed=seed: _fit_forest_grid(*params, seed)
     cases["random_forest_rare_class"] = lambda: _fit_forest(RandomForestClassifier)
     cases["extra_trees_rare_class"] = lambda: _fit_forest(ExtraTreesClassifier)
     cases["boosting_subsample"] = _fit_boosting
