@@ -100,14 +100,15 @@ class _BaseForest(BaseEstimator, ClassifierMixin):
         encoded = self._encode_labels(y)
         rng = check_random_state(self.random_state)
         bootstrap = self._bootstrap_default if self.bootstrap is None else self.bootstrap
-        self.estimators_ = []
         n = X.shape[0]
-        for child_rng in spawn(rng, self.n_estimators):
-            if bootstrap:
-                sample = _bootstrap_sample(child_rng, encoded, n)
-            else:
-                sample = np.arange(n)
-            tree = DecisionTreeClassifier(
+        # Every member's rows and generator first, in member order; each
+        # generator then makes only its own tree's draws during growth.
+        rngs = spawn(rng, self.n_estimators)
+        samples = [_bootstrap_sample(r, encoded, n) if bootstrap else np.arange(n) for r in rngs]
+        # Each member codes the classes its rows contain as 0..k-1.
+        member_classes, member_y = zip(*(np.unique(encoded[s], return_inverse=True) for s in samples))
+        self.estimators_ = [
+            DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
@@ -116,8 +117,17 @@ class _BaseForest(BaseEstimator, ClassifierMixin):
                 splitter=self._splitter,
                 random_state=child_rng,
             )
-            tree.fit(X[sample], encoded[sample])
-            self.estimators_.append(tree)
+            for child_rng in rngs
+        ]
+        trees = self.estimators_[0]._grower().grow(
+            X[np.concatenate(samples)],
+            np.concatenate(member_y),
+            [classes.size for classes in member_classes],
+            [np.arange(m * n, (m + 1) * n) for m in range(self.n_estimators)],
+            rngs,
+        )
+        for tree, tree_arrays, classes in zip(self.estimators_, trees, member_classes):
+            tree.tree_, tree.classes_, tree.n_features_ = tree_arrays, classes, X.shape[1]
         self.n_features_ = X.shape[1]
         self._bank = None
         return self

@@ -1,25 +1,42 @@
 """CART decision trees (classification and regression).
 
-A from-scratch, numpy-vectorized CART implementation.  The split search at
-each node is one block pass over all its candidate features: the node's
-values of those features form an ``(F, n)`` block, a stable row-wise
-argsort orders every row at once, and prefix sums score every split
-position of every feature together (cumulative class counts over an
-``(F, n, C)`` one-hot for classification, row-wise ``cumsum`` for
-regression).  The best position of each row, then the first best row,
-give the split, so ties resolve as a feature-by-feature scan with a strict
-``>`` would.  The extra-trees splitter draws one threshold per non-constant
-row and counts both sides' classes with 0/1 float matmuls.  Growing is
-``O(features · n log n)`` per node in a constant number of numpy calls.
+A from-scratch, numpy-vectorized CART implementation.  Trees grow from an
+explicit pre-order stack (right child pushed before left), so depth is not
+bounded by Python's recursion limit and node ids and random draws come in
+the order a recursive grower would give them.  They are stored as flat
+arrays (``children_left`` / ``children_right`` / ``feature`` /
+``threshold`` / ``value``), which keeps prediction a tight vectorized loop
+and makes the structure easy to inspect in tests.
 
-Trees grow from an explicit pre-order stack, so depth is not bounded by
-Python's recursion limit.  They are stored as flat arrays
-(``children_left`` / ``children_right`` / ``feature`` / ``threshold`` /
-``value``), which keeps prediction a tight vectorized loop and makes the
-structure easy to inspect in tests.
+Classification trees grow in lock-step: :class:`_ClassificationGrower`
+takes any number of trees (a forest's members, or one standalone tree) and
+advances every unfinished tree by one node per step.  Each tree keeps its
+own generator, rows and pre-order stack, so its ``choice`` and ``uniform``
+draws happen in the same order with the same arguments as when it grows
+alone.  Only the numpy work of a step is shared:
 
-The regression tree is used by :mod:`repro.ml.boosting` to fit gradient
-residuals; the classifier is used directly and inside the forests.
+- the class counts of all popped nodes come from one ``bincount`` over a
+  stacked row space (every tree's rows in one matrix; node indices are
+  global row ids);
+- the exhaustive search is one ``(nodes, features, rows)`` block padded
+  with ``+inf``: a stable argsort along the rows orders every candidate
+  feature of every node, and one-hot prefix counts score every split
+  position at once;
+- the extra-trees search is the same block with one uniform threshold per
+  non-constant row, counted with 0/1 float matmuls;
+- the partition of every split node is one comparison and one stable sort.
+
+This is bitwise identical to growing each tree alone: every score is an
+elementwise function of exact integer class counts and sizes, padded
+positions are invalid (``+inf`` score), ties still go to the first
+position and then the first candidate feature, and the only reduction
+over classes (the impurity's sum) runs over each tree's own class columns.
+A step's block is split into chunks of nodes of similar size so that its
+memory stays bounded.
+
+Regression trees, which :mod:`repro.ml.boosting` fits to gradient
+residuals, grow one node at a time with the same block search over
+row-wise ``cumsum`` prefix sums.
 """
 
 from __future__ import annotations
@@ -34,6 +51,10 @@ __all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor"]
 
 _NO_FEATURE = -1
 _LEAF = -1
+
+#: Largest ``nodes * features * rows * classes`` block one classification
+#: search call builds; a step with more is searched in several chunks.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 def _resolve_max_features(max_features, n_features: int) -> int:
@@ -62,41 +83,331 @@ def _check_min_samples(min_samples_split: int, min_samples_leaf: int) -> None:
         raise ValidationError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
 
 
-class _Split:
-    """Best split found for one node (feature, threshold, impurity gain)."""
-
-    __slots__ = ("feature", "threshold", "gain")
-
-    def __init__(self, feature: int, threshold: float, gain: float):
-        self.feature = feature
-        self.threshold = threshold
-        self.gain = gain
+def _candidate_features(rng: np.random.Generator, max_features, n_features: int) -> np.ndarray:
+    """The features a node searches: all of them, or a draw of ``max_features``."""
+    k = _resolve_max_features(max_features, n_features)
+    if k >= n_features:
+        return np.arange(n_features)
+    return rng.choice(n_features, size=k, replace=False)
 
 
-class _TreeGrower:
-    """Shared growth logic for classification and regression.
+def _class_sum(terms: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Sum the last axis of ``terms`` over each node's own ``widths[node]`` class columns.
 
-    Growth is iterative: an explicit pre-order stack (right child pushed
-    before left) gives node ids and random draws in the same order as a
-    recursive grower, without a recursion limit on depth.
+    Nodes lie on axis 0.  A narrower tree's class columns are zero-padded
+    at the end; summing the padding too could regroup numpy's pairwise sum
+    and move a bit, so each node sums exactly the columns it has alone.
+    """
+    width = widths[0]
+    if (widths == width).all():
+        return np.sum(terms[..., :width], axis=-1)
+    out = np.empty(terms.shape[:-1])
+    for width in np.unique(widths):
+        nodes = widths == width
+        out[nodes] = np.sum(terms[nodes][..., :width], axis=-1)
+    return out
 
-    Subclass hooks:
 
-    - ``_node_stats(indices)`` -> ``(value, impurity, pure)``: the leaf
-      payload (probability vector / mean), the node's scalar impurity and
-      whether every target in the node is equal, from one read of its
-      targets.  A pure node never splits, so its impurity may be 0.0
-      without being computed.
-    - ``_split_scores(sorted_indices)`` -> impurity-weighted score of every
-      split position, ``(F, n - 1)``, given the node's ``(F, n)`` sample
-      indices sorted along each candidate feature's row.
-    - ``_search_block(indices, block, parent_impurity)`` -> ``(row,
-      threshold, gain)`` of the block's best split, or None; the default
-      is the exhaustive search over ``_split_scores``.
+class _Nodes:
+    """One tree's node arrays, appended in pre-order as its nodes are popped."""
+
+    __slots__ = ("left", "right", "feature", "threshold", "n_samples", "value")
+
+    def __init__(self):
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.n_samples: list[int] = []
+        self.value: list[np.ndarray] = []
+
+    def add(self, parent: int, is_left: bool, n_samples: int, value: np.ndarray) -> int:
+        """Append a leaf, link it to its parent and return its id."""
+        node_id = len(self.value)
+        if parent != _LEAF:
+            (self.left if is_left else self.right)[parent] = node_id
+        self.left.append(_LEAF)
+        self.right.append(_LEAF)
+        self.feature.append(_NO_FEATURE)
+        self.threshold.append(np.nan)
+        self.n_samples.append(n_samples)
+        self.value.append(value)
+        return node_id
+
+    def arrays(self, n_value_columns: int | None = None) -> dict[str, np.ndarray]:
+        value = np.vstack(self.value)
+        if n_value_columns is not None and n_value_columns < value.shape[1]:
+            value = np.ascontiguousarray(value[:, :n_value_columns])
+        return {
+            "children_left": np.array(self.left, dtype=np.int64),
+            "children_right": np.array(self.right, dtype=np.int64),
+            "feature": np.array(self.feature, dtype=np.int64),
+            "threshold": np.array(self.threshold, dtype=np.float64),
+            "n_samples": np.array(self.n_samples, dtype=np.int64),
+            "value": value,
+        }
+
+
+def _size_chunks(sizes: np.ndarray, elements_per_row: int) -> list[np.ndarray]:
+    """Positions of ``sizes`` in descending size, cut so each chunk's padded block fits the budget."""
+    order = np.argsort(-sizes, kind="stable")
+    chunks = []
+    start = 0
+    while start < order.size:
+        per_node = int(sizes[order[start]]) * elements_per_row
+        stop = start + max(1, _BLOCK_ELEMENTS // per_node)
+        chunks.append(order[start:stop])
+        start = stop
+    return chunks
+
+
+class _ClassificationGrower:
+    """Grows classification trees in lock-step, one node per tree per step.
+
+    ``grow`` takes every tree's rows as one stacked matrix: tree ``t``
+    starts from the global row ids ``roots[t]``, its labels are coded
+    ``0..n_classes[t]-1`` and it draws from ``rngs[t]``.  A one-tree call
+    is a standalone :class:`DecisionTreeClassifier`.
     """
 
     def __init__(
         self,
+        criterion: str,
+        splitter: str,
+        *,
+        max_depth,
+        min_samples_split,
+        min_samples_leaf,
+        min_impurity_decrease,
+        max_features,
+    ):
+        if criterion not in ("gini", "entropy"):
+            raise ValidationError(f"criterion must be 'gini' or 'entropy', got {criterion!r}")
+        self.criterion = criterion
+        self.splitter = splitter
+        self.max_depth = np.inf if max_depth is None else max_depth
+        self.min_samples_split = min_samples_split
+        self.min_samples_leaf = min_samples_leaf
+        self.min_impurity_decrease = min_impurity_decrease
+        self.max_features = max_features
+
+    def grow(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        n_classes: list[int],
+        roots: list[np.ndarray],
+        rngs: list[np.random.Generator],
+    ) -> list[dict[str, np.ndarray]]:
+        n_rows, n_features = X.shape
+        self._n_classes = max(n_classes)
+        # One row per feature plus a sentinel sample (id ``n_rows``): +inf
+        # sorts after every real value, and its out-of-range class counts
+        # nowhere, so padding a block with it changes no score.
+        self._pad = n_rows
+        self._columns = np.empty((n_features, n_rows + 1))
+        self._columns[:, :n_rows] = X.T
+        self._columns[:, n_rows] = np.inf
+        self._labels = np.append(y, self._n_classes)
+        self._classes = np.arange(self._n_classes)
+        widths = np.asarray(n_classes, dtype=np.int64)
+        trees = [_Nodes() for _ in roots]
+        # (indices, depth, parent id, is left child); the root has no parent.
+        stacks = [[(root, 0, _LEAF, True)] for root in roots]
+        active = list(range(len(roots)))
+        # Empty sides divide 0 by 0; ``_impurity`` zeroes what is not finite.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while active:
+                self._step(active, [stacks[t].pop() for t in active], trees, stacks, widths, rngs)
+                active = [t for t in active if stacks[t]]
+        return [tree.arrays(width) for tree, width in zip(trees, n_classes)]
+
+    def _step(self, active, popped, trees, stacks, widths, rngs) -> None:
+        """Add one node to every active tree and push the children of those that split."""
+        indices = [node[0] for node in popped]
+        sizes = np.array([rows.size for rows in indices])
+        counts = self._class_counts(indices, sizes)
+        totals = sizes.astype(np.float64)
+        values = counts / totals[:, None]
+        node_ids = [
+            trees[t].add(parent, is_left, rows.size, value)
+            for t, (rows, _, parent, is_left), value in zip(active, popped, values)
+        ]
+        depths = np.array([node[1] for node in popped])
+        pure = counts.max(axis=1) == totals
+        candidates = np.flatnonzero(
+            ~pure
+            & (depths < self.max_depth)
+            & (sizes >= self.min_samples_split)
+            & (sizes >= 2 * self.min_samples_leaf)
+        )
+        if candidates.size == 0:
+            return
+        tree_ids = [active[j] for j in candidates]
+        found, feature, threshold, gain = self._search(
+            [indices[j] for j in candidates],
+            sizes[candidates],
+            counts[candidates],
+            widths[tree_ids],
+            [rngs[t] for t in tree_ids],
+        )
+        split = np.flatnonzero(found & (gain >= self.min_impurity_decrease))
+        if split.size == 0:
+            return
+        children = self._partition([indices[candidates[s]] for s in split], feature[split], threshold[split])
+        for s, left, right in zip(split, children[0::2], children[1::2]):
+            if left.size < self.min_samples_leaf or right.size < self.min_samples_leaf:
+                continue
+            j = candidates[s]
+            t, node_id, depth = active[j], node_ids[j], popped[j][1]
+            trees[t].feature[node_id] = int(feature[s])
+            trees[t].threshold[node_id] = float(threshold[s])
+            stacks[t].append((right, depth + 1, node_id, False))
+            stacks[t].append((left, depth + 1, node_id, True))
+
+    def _class_counts(self, indices: list[np.ndarray], sizes: np.ndarray) -> np.ndarray:
+        """``(nodes, classes)`` float counts of every node, in one ``bincount``."""
+        C = self._n_classes
+        node_of_row = np.repeat(np.arange(sizes.size) * C, sizes)
+        keys = node_of_row + self._labels[np.concatenate(indices)]
+        return np.bincount(keys, minlength=sizes.size * C).reshape(sizes.size, C).astype(np.float64)
+
+    def _impurity(self, counts: np.ndarray, totals: np.ndarray, widths: np.ndarray) -> np.ndarray:
+        """Impurity of count rows; ``totals`` broadcasts against ``counts``."""
+        p = counts / totals
+        p = np.where(np.isfinite(p), p, 0.0)
+        if self.criterion == "gini":
+            return 1.0 - _class_sum(p**2, widths)
+        logp = np.log2(p, out=np.zeros_like(p), where=p > 0)
+        return -_class_sum(p * logp, widths)
+
+    def _split_scores(self, left, right, n_left, n_right, n, widths) -> np.ndarray:
+        """Size-weighted impurity of the two sides of every candidate split."""
+        impurity_left = self._impurity(left, n_left[..., None], widths)
+        impurity_right = self._impurity(right, n_right[..., None], widths)
+        return (n_left / n) * impurity_left + (n_right / n) * impurity_right
+
+    def _search(self, indices, sizes, counts, widths, rngs):
+        """Best split of every candidate node: ``(found, feature, threshold, gain)`` arrays.
+
+        Candidate features are drawn node by node, each from its own tree's
+        generator; the blocks are then searched in size-sorted chunks.
+        """
+        n_features = self._columns.shape[0]
+        features = np.array([_candidate_features(rng, self.max_features, n_features) for rng in rngs])
+        parent = self._impurity(counts, sizes[:, None].astype(np.float64), widths)
+        found = np.zeros(sizes.size, dtype=bool)
+        feature = np.zeros(sizes.size, dtype=np.int64)
+        threshold = np.zeros(sizes.size)
+        gain = np.zeros(sizes.size)
+        search = self._search_best if self.splitter == "best" else self._search_random
+        for chunk in _size_chunks(sizes, features.shape[1] * self._n_classes):
+            # Rows of a node in their original order, padded with the sentinel.
+            width = int(sizes[chunk[0]])
+            rows = np.full((chunk.size, width), self._pad)
+            real = np.arange(width) < sizes[chunk, None]
+            rows[real] = np.concatenate([indices[c] for c in chunk])
+            row, thr, best = search(
+                rows,
+                real,
+                features[chunk],
+                sizes[chunk],
+                counts[chunk],
+                parent[chunk],
+                widths[chunk],
+                [rngs[c] for c in chunk],
+            )
+            found[chunk] = best != -np.inf
+            feature[chunk] = features[chunk, row]
+            threshold[chunk] = thr
+            gain[chunk] = best
+        return found, feature, threshold, gain
+
+    def _search_best(self, rows, real, features, sizes, counts, parent, widths, rngs):
+        """Exhaustive search: the best position of every feature, then the best feature."""
+        nodes = np.arange(sizes.size)
+        block = self._columns[features[:, :, None], rows[:, None, :]]  # (E, F, L)
+        sorted_rows = rows[nodes[:, None, None], np.argsort(block, axis=2, kind="stable")]
+        sorted_block = self._columns[features[:, :, None], sorted_rows]
+        sorted_labels = self._labels[sorted_rows]
+        # Position p puts the first p + 1 sorted samples on the left.
+        left = np.cumsum(sorted_labels[..., None] == self._classes, axis=2, dtype=np.float64)[:, :, :-1]
+        right = counts[:, None, None, :] - left
+        n = sizes.astype(np.float64)[:, None, None]
+        n_left = np.arange(1, block.shape[2], dtype=np.float64)
+        n_right = n - n_left
+        scores = self._split_scores(left, right, n_left, n_right, n, widths)
+        # A position is valid between distinct values when both sides keep
+        # enough samples; padded positions never do.
+        valid = (
+            (sorted_block[:, :, :-1] != sorted_block[:, :, 1:])
+            & (n_left >= self.min_samples_leaf)
+            & (n_right >= self.min_samples_leaf)
+        )
+        scores = np.where(valid, scores, np.inf)
+        positions = np.argmin(scores, axis=2)
+        gains = parent[:, None] - scores.min(axis=2)
+        row = np.argmax(gains, axis=1)  # -inf: no valid position
+        p = positions[nodes, row]
+        threshold = 0.5 * (sorted_block[nodes, row, p] + sorted_block[nodes, row, p + 1])
+        return row, threshold, gains[nodes, row]
+
+    def _search_random(self, rows, real, features, sizes, counts, parent, widths, rngs):
+        """Extra-trees search: one uniform threshold per non-constant feature, drawn in feature order."""
+        nodes = np.arange(sizes.size)
+        block = self._columns[features[:, :, None], rows[:, None, :]]  # (E, F, L)
+        lo = block.min(axis=2)
+        hi = np.where(real[:, None, :], block, -np.inf).max(axis=2)
+        live = lo != hi
+        # Each node draws from its own generator, over its live features only.
+        lo_live, hi_live = lo[live], hi[live]
+        bounds = np.cumsum(live.sum(axis=1)).tolist()
+        draws = [
+            rng.uniform(lo_live[start:stop], hi_live[start:stop])
+            for rng, start, stop in zip(rngs, [0] + bounds, bounds)
+            if stop > start
+        ]
+        thresholds = np.full(lo.shape, np.nan)
+        if draws:
+            thresholds[live] = np.concatenate(draws)
+        goes_left = block <= thresholds[:, :, None]
+        # 0/1 float matmuls count each side's classes exactly.
+        one_hot = (self._labels[rows][..., None] == self._classes).astype(np.float64)
+        left = goes_left.astype(np.float64) @ one_hot
+        right = counts[:, None, :] - left
+        n = sizes.astype(np.float64)[:, None]
+        n_left = goes_left.sum(axis=2, dtype=np.float64)
+        n_right = n - n_left
+        scores = self._split_scores(left, right, n_left, n_right, n, widths)
+        valid = live & (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
+        gains = np.where(valid, parent[:, None] - scores, -np.inf)
+        row = np.argmax(gains, axis=1)
+        return row, thresholds[nodes, row], gains[nodes, row]
+
+    def _partition(self, indices, feature, threshold) -> list[np.ndarray]:
+        """``[left_0, right_0, left_1, ...]``: every split node's rows, order kept, in one pass."""
+        sizes = np.array([rows.size for rows in indices])
+        node = np.repeat(np.arange(sizes.size), sizes)
+        rows = np.concatenate(indices)
+        goes_right = ~(self._columns[feature[node], rows] <= threshold[node])
+        side = 2 * node + goes_right
+        bounds = np.cumsum(np.bincount(side, minlength=2 * sizes.size)).tolist()
+        rows = rows[np.argsort(side, kind="stable")]
+        return [rows[start:stop] for start, stop in zip([0] + bounds, bounds)]
+
+
+class _RegressionGrower:
+    """Grows one regression tree, one node at a time.
+
+    Each node's split search is one block pass over its candidate
+    features: the node's values form an ``(F, n)`` block, a stable
+    row-wise argsort orders every row, and row-wise ``cumsum`` prefix sums
+    score every split position of every feature together.
+    """
+
+    def __init__(
+        self,
+        y: np.ndarray,
         *,
         max_depth,
         min_samples_split,
@@ -105,6 +416,7 @@ class _TreeGrower:
         max_features,
         rng,
     ):
+        self.y = y.astype(np.float64)
         self.max_depth = np.inf if max_depth is None else max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -112,95 +424,62 @@ class _TreeGrower:
         self.max_features = max_features
         self.rng = rng
 
-    # -- hooks -----------------------------------------------------------
-    def _node_stats(self, indices: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        raise NotImplementedError
-
-    def _split_scores(self, sorted_indices: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    # -- growth ----------------------------------------------------------
     def grow(self, X: np.ndarray) -> dict[str, np.ndarray]:
         self._columns = np.ascontiguousarray(X.T)  # one row per feature
-        left: list[int] = []
-        right: list[int] = []
-        feature: list[int] = []
-        threshold: list[float] = []
-        n_samples: list[int] = []
-        values: list[np.ndarray] = []
+        nodes = _Nodes()
         # (indices, depth, parent id, is left child); the root has no parent.
         stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(X.shape[0]), 0, _LEAF, True)]
         while stack:
             indices, depth, parent, is_left = stack.pop()
-            node_id = len(values)
-            if parent != _LEAF:
-                (left if is_left else right)[parent] = node_id
-            left.append(_LEAF)
-            right.append(_LEAF)
-            feature.append(_NO_FEATURE)
-            threshold.append(np.nan)
-            n_samples.append(indices.size)
             value, impurity, pure = self._node_stats(indices)
-            values.append(value)
+            node_id = nodes.add(parent, is_left, indices.size, value)
             children = None if pure else self._split_node(indices, depth, impurity)
             if children is not None:
-                split, left_idx, right_idx = children
-                feature[node_id] = split.feature
-                threshold[node_id] = split.threshold
+                feature, threshold, left_idx, right_idx = children
+                nodes.feature[node_id] = feature
+                nodes.threshold[node_id] = threshold
                 stack.append((right_idx, depth + 1, node_id, False))
                 stack.append((left_idx, depth + 1, node_id, True))
-        return {
-            "children_left": np.array(left, dtype=np.int64),
-            "children_right": np.array(right, dtype=np.int64),
-            "feature": np.array(feature, dtype=np.int64),
-            "threshold": np.array(threshold, dtype=np.float64),
-            "n_samples": np.array(n_samples, dtype=np.int64),
-            "value": np.vstack(values),
-        }
+        return nodes.arrays()
 
-    def _split_node(
-        self, indices: np.ndarray, depth: int, impurity: float
-    ) -> tuple[_Split, np.ndarray, np.ndarray] | None:
-        """The impure node's split and its children's indices, or None for a leaf."""
+    def _node_stats(self, indices: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        """Leaf mean, variance and purity: numpy's own mean/var sequence, without its wrappers."""
+        y = self.y[indices]
+        n = y.size
+        mean = np.add.reduce(y) / n
+        pure = bool(np.all(y == y[0]))
+        if pure:
+            return np.array([mean]), 0.0, True
+        d = y - mean
+        return np.array([mean]), float(np.add.reduce(d * d) / n), False
+
+    def _split_node(self, indices: np.ndarray, depth: int, impurity: float):
+        """``(feature, threshold, left, right)`` of the impure node, or None for a leaf."""
         if (
             depth >= self.max_depth
             or indices.size < self.min_samples_split
             or indices.size < 2 * self.min_samples_leaf
         ):
             return None
-        split = self._find_best_split(indices, impurity)
-        if split is None or split.gain < self.min_impurity_decrease:
-            return None
-        left_mask = self._columns[split.feature, indices] <= split.threshold
-        left_idx, right_idx = indices[left_mask], indices[~left_mask]
-        if left_idx.size < self.min_samples_leaf or right_idx.size < self.min_samples_leaf:
-            return None
-        return split, left_idx, right_idx
-
-    def _candidate_features(self, n_features: int) -> np.ndarray:
-        k = _resolve_max_features(self.max_features, n_features)
-        if k >= n_features:
-            return np.arange(n_features)
-        return self.rng.choice(n_features, size=k, replace=False)
-
-    def _find_best_split(self, indices: np.ndarray, impurity: float) -> _Split | None:
-        """Search every candidate feature of the node in one block pass.
-
-        ``block`` holds the node's values of the candidate features, one
-        row per feature.  Ties in gain go to the earliest candidate.
-        """
-        features = self._candidate_features(self._columns.shape[0])
+        features = _candidate_features(self.rng, self.max_features, self._columns.shape[0])
         block = self._columns[features[:, None], indices]
         found = self._search_block(indices, block, impurity)
         if found is None:
             return None
         row, threshold, gain = found
-        return _Split(int(features[row]), threshold, gain)
+        if gain < self.min_impurity_decrease:
+            return None
+        feature = int(features[row])
+        left_mask = self._columns[feature, indices] <= threshold
+        left_idx, right_idx = indices[left_mask], indices[~left_mask]
+        if left_idx.size < self.min_samples_leaf or right_idx.size < self.min_samples_leaf:
+            return None
+        return feature, threshold, left_idx, right_idx
 
     def _search_block(
         self, indices: np.ndarray, block: np.ndarray, parent_impurity: float
     ) -> tuple[int, float, float] | None:
-        """Exhaustive search: the best position of every row, then the best row."""
+        """Exhaustive search: the best position of every row, then the first best row."""
         n = indices.size
         rows = np.arange(block.shape[0])
         order = np.argsort(block, axis=1, kind="stable")
@@ -220,90 +499,8 @@ class _TreeGrower:
         threshold = 0.5 * (sorted_block[row, p] + sorted_block[row, p + 1])
         return row, float(threshold), float(gains[row])
 
-
-class _ClassificationGrower(_TreeGrower):
-    def __init__(self, y_encoded: np.ndarray, n_classes: int, criterion: str, splitter: str, **kwargs):
-        super().__init__(**kwargs)
-        self.y = y_encoded
-        self.n_classes = n_classes
-        if criterion not in ("gini", "entropy"):
-            raise ValidationError(f"criterion must be 'gini' or 'entropy', got {criterion!r}")
-        self.criterion = criterion
-        self.splitter = splitter
-
-    def _one_hot(self, encoded: np.ndarray) -> np.ndarray:
-        """Float 0/1 indicators of ``encoded`` along a new last axis."""
-        return (encoded[..., None] == np.arange(self.n_classes)).astype(np.float64)
-
-    def _impurity_from_counts(self, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-        """Impurity of count rows; ``totals`` broadcasts against rows."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = counts / totals
-            p = np.where(np.isfinite(p), p, 0.0)
-            if self.criterion == "gini":
-                return 1.0 - np.sum(p**2, axis=-1)
-            logp = np.log2(p, out=np.zeros_like(p), where=p > 0)
-            return -np.sum(p * logp, axis=-1)
-
-    def _node_stats(self, indices: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        counts = np.bincount(self.y[indices], minlength=self.n_classes).astype(np.float64)
-        total = counts.sum()
-        pure = np.count_nonzero(counts) == 1
-        impurity = 0.0 if pure else float(self._impurity_from_counts(counts, total))
-        return counts / total, impurity, pure
-
     def _split_scores(self, sorted_indices: np.ndarray) -> np.ndarray:
-        one_hot = self._one_hot(self.y[sorted_indices])  # (F, n, C)
-        n = sorted_indices.shape[1]
-        counts = np.cumsum(one_hot, axis=1)
-        left_counts = counts[:, :-1]  # counts with split after row p
-        right_counts = counts[:, -1:] - left_counts
-        n_left = np.arange(1, n, dtype=np.float64)
-        n_right = n - n_left
-        side_sizes = np.stack([n_left, n_right])[:, None, :]  # broadcasts over features
-        return self._weighted_impurity(np.stack([left_counts, right_counts]), side_sizes, n)
-
-    def _weighted_impurity(self, side_counts: np.ndarray, side_sizes: np.ndarray, n: int) -> np.ndarray:
-        """Size-weighted impurity of ``(2, ..., C)`` left/right count blocks."""
-        impurity = self._impurity_from_counts(side_counts, side_sizes[..., None])
-        return (side_sizes[0] / n) * impurity[0] + (side_sizes[1] / n) * impurity[1]
-
-    def _search_block(
-        self, indices: np.ndarray, block: np.ndarray, parent_impurity: float
-    ) -> tuple[int, float, float] | None:
-        if self.splitter == "best":
-            return super()._search_block(indices, block, parent_impurity)
-        # Extra-trees split: one uniform threshold per non-constant row,
-        # drawn in row order.
-        lo, hi = block.min(axis=1), block.max(axis=1)
-        live = np.flatnonzero(lo != hi)
-        if live.size == 0:
-            return None
-        thresholds = self.rng.uniform(lo[live], hi[live])
-        goes_left = block[live] <= thresholds[:, None]
-        sides = np.stack([goes_left, ~goes_left]).astype(np.float64)  # (2, L, n)
-        side_sizes = sides.sum(axis=2)
-        # 0/1 float matmuls count each side's classes exactly.
-        weighted = self._weighted_impurity(sides @ self._one_hot(self.y[indices]), side_sizes, indices.size)
-        valid = (side_sizes >= self.min_samples_leaf).all(axis=0)
-        gains = np.where(valid, parent_impurity - weighted, -np.inf)
-        best = int(np.argmax(gains))
-        if gains[best] == -np.inf:
-            return None
-        return int(live[best]), float(thresholds[best]), float(gains[best])
-
-
-class _RegressionGrower(_TreeGrower):
-    def __init__(self, y: np.ndarray, **kwargs):
-        super().__init__(**kwargs)
-        self.y = y.astype(np.float64)
-
-    def _node_stats(self, indices: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        y = self.y[indices]
-        pure = bool(np.all(y == y[0]))
-        return np.array([y.mean()]), 0.0 if pure else float(y.var()), pure
-
-    def _split_scores(self, sorted_indices: np.ndarray) -> np.ndarray:
+        """Size-weighted variance of both sides of every position, ``(F, n - 1)``."""
         # Rows stay C-contiguous so each row's sum is the same pairwise
         # summation as a 1-D ``sum``.
         y = self.y[sorted_indices]  # (F, n)
@@ -373,9 +570,15 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     def fit(self, X, y) -> "DecisionTreeClassifier":
         X, y = check_X_y(X, y)
         encoded = self._encode_labels(y)
-        grower = _ClassificationGrower(
-            encoded,
-            self.n_classes_,
+        rng = check_random_state(self.random_state)
+        # A standalone tree is the one-tree case of lock-step growth.
+        (self.tree_,) = self._grower().grow(X, encoded, [self.n_classes_], [np.arange(X.shape[0])], [rng])
+        self.n_features_ = X.shape[1]
+        return self
+
+    def _grower(self) -> _ClassificationGrower:
+        """A grower with this tree's settings; forests grow all members with one."""
+        return _ClassificationGrower(
             self.criterion,
             self.splitter,
             max_depth=self.max_depth,
@@ -383,11 +586,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             min_samples_leaf=self.min_samples_leaf,
             min_impurity_decrease=self.min_impurity_decrease,
             max_features=self.max_features,
-            rng=check_random_state(self.random_state),
         )
-        self.tree_ = grower.grow(X)
-        self.n_features_ = X.shape[1]
-        return self
 
     def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "tree_")

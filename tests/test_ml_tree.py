@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import NotFittedError, ValidationError
+from repro.ml.forest import ExtraTreesClassifier, RandomForestClassifier, _bootstrap_sample
 from repro.ml.metrics import accuracy
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml import tree as tree_module
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _class_sum
+from repro.rng import spawn
 
 
 class TestClassifierBasics:
@@ -191,3 +194,118 @@ def test_tree_leaf_probabilities_valid_property(seed):
     values = tree.tree_["value"]
     assert np.all(values >= 0)
     assert np.allclose(values.sum(axis=1), 1.0)
+
+
+TREE_ARRAYS = ("children_left", "children_right", "feature", "threshold", "n_samples", "value")
+
+
+def _lockstep_data(seed: int, n: int, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tied, constant and continuous columns; class 0 holds one row, so bootstraps can miss it."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack(
+        [
+            rng.normal(size=n),
+            rng.normal(size=n).round(1),
+            rng.integers(0, 3, size=n).astype(np.float64),
+            np.full(n, 1.5),
+            rng.uniform(size=n),
+        ]
+    )
+    y = np.concatenate([[0], 1 + np.arange(n - 1) % (n_classes - 1)])
+    return X, rng.permutation(y)
+
+
+def _lone_members(forest, X, y):
+    """Each member regrown alone from its own bootstrap and spawned generator."""
+    encoded = np.unique(y, return_inverse=True)[1]
+    bootstrap = forest._bootstrap_default if forest.bootstrap is None else forest.bootstrap
+    lone = []
+    for child in spawn(np.random.default_rng(forest.random_state), forest.n_estimators):
+        sample = _bootstrap_sample(child, encoded, len(y)) if bootstrap else np.arange(len(y))
+        tree = DecisionTreeClassifier(
+            max_depth=forest.max_depth,
+            min_samples_leaf=forest.min_samples_leaf,
+            max_features=forest.max_features,
+            criterion=forest.criterion,
+            splitter=forest._splitter,
+            random_state=child,
+        )
+        lone.append(tree.fit(X[sample], encoded[sample]))
+    return lone
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cls=st.sampled_from([RandomForestClassifier, ExtraTreesClassifier]),
+    seed=st.integers(0, 10**6),
+    n=st.integers(12, 60),
+    n_classes=st.integers(2, 10),
+    n_estimators=st.integers(1, 7),
+    max_features=st.sampled_from([None, "sqrt", "log2", 0.5, 2]),
+    criterion=st.sampled_from(["gini", "entropy"]),
+    min_samples_leaf=st.integers(1, 4),
+    max_depth=st.sampled_from([None, 1, 3, 6]),
+    bootstrap=st.booleans(),
+)
+@example(RandomForestClassifier, 5, 40, 3, 6, "sqrt", "gini", 1, None, True)
+@example(ExtraTreesClassifier, 5, 40, 3, 6, "sqrt", "gini", 1, None, True)
+@example(RandomForestClassifier, 3, 40, 9, 6, "sqrt", "entropy", 1, None, True)
+def test_forest_members_equal_lone_trees_property(
+    cls, seed, n, n_classes, n_estimators, max_features, criterion, min_samples_leaf, max_depth, bootstrap
+):
+    """Lock-step growth is bitwise the growth of each member alone, draws included."""
+    X, y = _lockstep_data(seed, n, n_classes)
+    forest = cls(
+        n_estimators=n_estimators,
+        max_features=max_features,
+        criterion=criterion,
+        min_samples_leaf=min_samples_leaf,
+        max_depth=max_depth,
+        bootstrap=bootstrap,
+        random_state=seed,
+    ).fit(X, y)
+    for member, lone in zip(forest.estimators_, _lone_members(forest, X, y), strict=True):
+        assert np.array_equal(member.classes_, lone.classes_)
+        for name in TREE_ARRAYS:
+            got, want = member.tree_[name], lone.tree_[name]
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert member.random_state.bit_generator.state == lone.random_state.bit_generator.state
+
+
+@pytest.mark.parametrize("cls", [RandomForestClassifier, ExtraTreesClassifier])
+def test_lockstep_examples_cover_uneven_members(cls):
+    """The property's explicit examples hold members that finish far apart and miss a class."""
+    X, y = _lockstep_data(5, 40, 3)
+    forest = cls(n_estimators=6, max_features="sqrt", bootstrap=True, random_state=5).fit(X, y)
+    nodes = [member.n_nodes_ for member in forest.estimators_]
+    assert max(nodes) >= 2 * min(nodes)
+    assert any(member.classes_.size < forest.n_classes_ for member in forest.estimators_)
+
+
+def test_padded_class_sums_equal_each_tree_alone():
+    """A node of a narrower tree sums only its own classes, as it does grown alone.
+
+    Widths of 8 and more are where numpy's pairwise sum would group zero
+    padding columns differently from the tree's own columns.
+    """
+    rng = np.random.default_rng(0)
+    widths = np.array([9, 12, 5, 12, 8, 2])
+    terms = rng.random((widths.size, 3, 7, 12)) ** 3
+    terms = np.where(np.arange(12) < widths[:, None, None, None], terms, 0.0)
+    got = _class_sum(terms, widths)
+    for node, width in enumerate(widths):
+        alone = np.sum(np.ascontiguousarray(terms[node, ..., :width]), axis=-1)
+        assert got[node].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("cls", [RandomForestClassifier, ExtraTreesClassifier])
+def test_steps_split_into_chunks_grow_the_same_trees(cls, monkeypatch):
+    """A step searched in many small chunks grows the trees one large block does."""
+    X, y = _lockstep_data(7, 60, 4)
+    whole = cls(n_estimators=8, max_features=None, random_state=7).fit(X, y)
+    monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", 100)
+    chunked = cls(n_estimators=8, max_features=None, random_state=7).fit(X, y)
+    for a, b in zip(whole.estimators_, chunked.estimators_, strict=True):
+        for name in TREE_ARRAYS:
+            assert a.tree_[name].tobytes() == b.tree_[name].tobytes(), name
