@@ -4,6 +4,14 @@ Both average the class-probability outputs of their member trees (soft
 voting), which gives smoother probability surfaces — useful both for the
 confidence-based active-learning baseline and for ALE interpretation.
 
+Fitting draws every member's generator (spawned from the forest's) and
+bootstrap first, then grows all members in one lock-step call of the
+classification grower in :mod:`repro.ml.tree`: every step adds one node to
+each unfinished member and shares the numpy work among them.  Each member
+keeps its own generator, rows, class coding and pre-order stack, so its
+random draws and every array of its tree are bitwise what growing it alone
+as a :class:`DecisionTreeClassifier` on its bootstrap gives.
+
 Prediction runs through a :class:`repro.ml.kernels.TreeBank`: every member
 tree is concatenated into one struct-of-arrays bank and all trees descend
 for all rows in a single level-synchronous loop.  The probability
@@ -120,11 +128,7 @@ class _BaseForest(BaseEstimator, ClassifierMixin):
             for child_rng in rngs
         ]
         trees = self.estimators_[0]._grower().grow(
-            X[np.concatenate(samples)],
-            np.concatenate(member_y),
-            [classes.size for classes in member_classes],
-            [np.arange(m * n, (m + 1) * n) for m in range(self.n_estimators)],
-            rngs,
+            X, samples, member_y, [classes.size for classes in member_classes], rngs
         )
         for tree, tree_arrays, classes in zip(self.estimators_, trees, member_classes):
             tree.tree_, tree.classes_, tree.n_features_ = tree_arrays, classes, X.shape[1]

@@ -16,8 +16,8 @@ draws happen in the same order with the same arguments as when it grows
 alone.  Only the numpy work of a step is shared:
 
 - the class counts of all popped nodes come from one ``bincount`` over a
-  stacked row space (every tree's rows in one matrix; node indices are
-  global row ids);
+  shared row space (every tree's rows get global ids, tree after tree,
+  which map to rows of ``X`` and to that tree's own class codes);
 - the exhaustive search is one ``(nodes, features, rows)`` block padded
   with ``+inf``: a stable argsort along the rows orders every candidate
   feature of every node, and one-hot prefix counts score every split
@@ -164,10 +164,12 @@ def _size_chunks(sizes: np.ndarray, elements_per_row: int) -> list[np.ndarray]:
 class _ClassificationGrower:
     """Grows classification trees in lock-step, one node per tree per step.
 
-    ``grow`` takes every tree's rows as one stacked matrix: tree ``t``
-    starts from the global row ids ``roots[t]``, its labels are coded
-    ``0..n_classes[t]-1`` and it draws from ``rngs[t]``.  A one-tree call
-    is a standalone :class:`DecisionTreeClassifier`.
+    Tree ``t`` grows on the rows ``samples[t]`` of ``X`` (a bootstrap may
+    repeat rows), whose labels ``labels[t]`` it codes ``0..n_classes[t]-1``,
+    and draws from ``rngs[t]``.  All trees' rows share one global id space
+    (tree after tree), so a step's nodes index one label array and one
+    id-to-row map; ``X`` itself is not copied per tree.  A one-tree call is
+    a standalone :class:`DecisionTreeClassifier`.
     """
 
     def __init__(
@@ -194,22 +196,26 @@ class _ClassificationGrower:
     def grow(
         self,
         X: np.ndarray,
-        y: np.ndarray,
+        samples: list[np.ndarray],
+        labels: list[np.ndarray],
         n_classes: list[int],
-        roots: list[np.ndarray],
         rngs: list[np.random.Generator],
     ) -> list[dict[str, np.ndarray]]:
         n_rows, n_features = X.shape
         self._n_classes = max(n_classes)
-        # One row per feature plus a sentinel sample (id ``n_rows``): +inf
-        # sorts after every real value, and its out-of-range class counts
-        # nowhere, so padding a block with it changes no score.
-        self._pad = n_rows
+        # One row per feature plus a sentinel column whose value is +inf:
+        # it sorts after every real value.  The sentinel id ``self._pad``
+        # maps to it and has an out-of-range class that counts nowhere, so
+        # padding a block with it changes no score.
         self._columns = np.empty((n_features, n_rows + 1))
         self._columns[:, :n_rows] = X.T
         self._columns[:, n_rows] = np.inf
-        self._labels = np.append(y, self._n_classes)
+        self._source = np.append(np.concatenate(samples), n_rows)
+        self._labels = np.append(np.concatenate(labels), self._n_classes)
+        self._pad = self._source.size - 1
         self._classes = np.arange(self._n_classes)
+        ends = np.cumsum([sample.size for sample in samples])
+        roots = [np.arange(end - sample.size, end) for sample, end in zip(samples, ends)]
         widths = np.asarray(n_classes, dtype=np.int64)
         trees = [_Nodes() for _ in roots]
         # (indices, depth, parent id, is left child); the root has no parent.
@@ -326,9 +332,9 @@ class _ClassificationGrower:
     def _search_best(self, rows, real, features, sizes, counts, parent, widths, rngs):
         """Exhaustive search: the best position of every feature, then the best feature."""
         nodes = np.arange(sizes.size)
-        block = self._columns[features[:, :, None], rows[:, None, :]]  # (E, F, L)
+        block = self._columns[features[:, :, None], self._source[rows][:, None, :]]  # (E, F, L)
         sorted_rows = rows[nodes[:, None, None], np.argsort(block, axis=2, kind="stable")]
-        sorted_block = self._columns[features[:, :, None], sorted_rows]
+        sorted_block = self._columns[features[:, :, None], self._source[sorted_rows]]
         sorted_labels = self._labels[sorted_rows]
         # Position p puts the first p + 1 sorted samples on the left.
         left = np.cumsum(sorted_labels[..., None] == self._classes, axis=2, dtype=np.float64)[:, :, :-1]
@@ -355,7 +361,7 @@ class _ClassificationGrower:
     def _search_random(self, rows, real, features, sizes, counts, parent, widths, rngs):
         """Extra-trees search: one uniform threshold per non-constant feature, drawn in feature order."""
         nodes = np.arange(sizes.size)
-        block = self._columns[features[:, :, None], rows[:, None, :]]  # (E, F, L)
+        block = self._columns[features[:, :, None], self._source[rows][:, None, :]]  # (E, F, L)
         lo = block.min(axis=2)
         hi = np.where(real[:, None, :], block, -np.inf).max(axis=2)
         live = lo != hi
@@ -389,7 +395,7 @@ class _ClassificationGrower:
         sizes = np.array([rows.size for rows in indices])
         node = np.repeat(np.arange(sizes.size), sizes)
         rows = np.concatenate(indices)
-        goes_right = ~(self._columns[feature[node], rows] <= threshold[node])
+        goes_right = ~(self._columns[feature[node], self._source[rows]] <= threshold[node])
         side = 2 * node + goes_right
         bounds = np.cumsum(np.bincount(side, minlength=2 * sizes.size)).tolist()
         rows = rows[np.argsort(side, kind="stable")]
@@ -572,7 +578,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         encoded = self._encode_labels(y)
         rng = check_random_state(self.random_state)
         # A standalone tree is the one-tree case of lock-step growth.
-        (self.tree_,) = self._grower().grow(X, encoded, [self.n_classes_], [np.arange(X.shape[0])], [rng])
+        (self.tree_,) = self._grower().grow(X, [np.arange(X.shape[0])], [encoded], [self.n_classes_], [rng])
         self.n_features_ = X.shape[1]
         return self
 
