@@ -131,7 +131,8 @@ class _BaseForest(BaseEstimator, ClassifierMixin):
             X, samples, member_y, [classes.size for classes in member_classes], rngs
         )
         for tree, tree_arrays, classes in zip(self.estimators_, trees, member_classes):
-            tree.tree_, tree.classes_, tree.n_features_ = tree_arrays, classes, X.shape[1]
+            # The order a lone ``fit`` sets them in, so fitted forests pickle alike.
+            tree.classes_, tree.tree_, tree.n_features_ = classes, tree_arrays, X.shape[1]
         self.n_features_ = X.shape[1]
         self._bank = None
         return self

@@ -1,5 +1,7 @@
 """Tests for the CART trees."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -271,6 +273,7 @@ def test_forest_members_equal_lone_trees_property(
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
         assert member.random_state.bit_generator.state == lone.random_state.bit_generator.state
+        assert pickle.dumps(member) == pickle.dumps(lone)
 
 
 @pytest.mark.parametrize("cls", [RandomForestClassifier, ExtraTreesClassifier])
