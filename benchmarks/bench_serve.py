@@ -13,10 +13,13 @@ concurrent threads under three regimes:
   measure the shed rate (typed :class:`BackpressureError`, never a
   block or a drop).
 
+The unbatched and batched regimes run alternately ``--rounds`` times
+(default 3), and each regime is summarized by its round of best
+throughput, so one slow spell of a shared host cannot decide the gate.
 Two invariants are asserted, not merely reported: served labels are
-identical to offline ``AutoML.predict`` for every row, and batched
-throughput is at least 2x the unbatched baseline.  Results land in
-``BENCH_serve.json``.
+identical to offline ``AutoML.predict`` for every row of every round, and
+the best batched throughput is at least 2x the best unbatched one.
+Results land in ``BENCH_serve.json``.
 
 Caveat: the batching win measured here comes from amortizing per-call
 Python/ensemble overhead across coalesced rows, not from parallel
@@ -123,11 +126,14 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=400, help="requests per regime")
     parser.add_argument("--threads", type=int, default=8, help="concurrent client threads")
     parser.add_argument("--iterations", type=int, default=8, help="AutoML candidates")
+    parser.add_argument("--rounds", type=int, default=3, help="alternated unbatched/batched rounds")
     parser.add_argument("--seed", type=int, default=123)
     parser.add_argument(
         "--output", type=Path, default=REPO_ROOT / "BENCH_serve.json", help="result file"
     )
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error(f"--rounds must be >= 1, got {args.rounds}")
 
     print(f"fitting the served model ({args.iterations} candidates, {os.cpu_count()} CPU core(s))")
     data = generate_scream_dataset(args.n_samples, random_state=args.seed)
@@ -148,20 +154,35 @@ def main(argv=None) -> int:
             # shed with a typed error, not block.
             "overload": ServeConfig(max_batch=1, queue_bound=2),
         }
-        summaries: dict[str, dict] = {}
-        for name, config in regimes.items():
-            with ServeService(bundle, config) as service:
+
+        def run_regime(name: str) -> dict:
+            with ServeService(bundle, regimes[name]) as service:
                 run = drive(
                     service, data.X, args.requests, args.threads, retry_on_shed=(name == "overload")
                 )
-                summaries[name] = regime_summary(name, run, args.requests)
-                for row_index, label in run["labels"].items():
-                    assert label == int(offline_labels[row_index]), (
-                        f"{name}: served label diverged from offline predict at row {row_index}"
-                    )
+            for row_index, label in run["labels"].items():
+                assert label == int(offline_labels[row_index]), (
+                    f"{name}: served label diverged from offline predict at row {row_index}"
+                )
+            return regime_summary(name, run, args.requests)
+
+        # The two throughput regimes alternate, so a slow spell of the host
+        # hits both; each is judged by its best round.
+        rounds: dict[str, list[dict]] = {"unbatched": [], "batched": []}
+        for _ in range(args.rounds):
+            for name in rounds:
+                rounds[name].append(run_regime(name))
+        summaries = {
+            name: {
+                **max(runs, key=lambda summary: summary["throughput_rps"]),
+                "throughput_rps_rounds": [summary["throughput_rps"] for summary in runs],
+            }
+            for name, runs in rounds.items()
+        }
+        summaries["overload"] = run_regime("overload")
 
     speedup = summaries["batched"]["throughput_rps"] / summaries["unbatched"]["throughput_rps"]
-    assert summaries["unbatched"]["shed"] == 0 and summaries["batched"]["shed"] == 0
+    assert all(summary["shed"] == 0 for runs in rounds.values() for summary in runs)
     assert summaries["overload"]["shed"] > 0, "overload regime never hit the queue bound"
     assert speedup >= 2.0, (
         f"micro-batching must be >= 2x the unbatched baseline, measured {speedup:.2f}x"
@@ -174,6 +195,7 @@ def main(argv=None) -> int:
             "rows_per_request": 1,
             "n_samples": args.n_samples,
             "automl_iterations": args.iterations,
+            "rounds": args.rounds,
             "seed": args.seed,
         },
         "cpu_count": os.cpu_count(),
