@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import NotFittedError, ValidationError
+from repro.ml import tree as tree_module
 from repro.ml.forest import ExtraTreesClassifier, RandomForestClassifier, _bootstrap_sample
 from repro.ml.metrics import accuracy
-from repro.ml import tree as tree_module
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _class_sum
 from repro.rng import spawn
 
