@@ -127,12 +127,7 @@ class _BaseForest(BaseEstimator, ClassifierMixin):
             )
             for child_rng in rngs
         ]
-        trees = self.estimators_[0]._grower().grow(
-            X, samples, member_y, [classes.size for classes in member_classes], rngs
-        )
-        for tree, tree_arrays, classes in zip(self.estimators_, trees, member_classes):
-            # The order a lone ``fit`` sets them in, so fitted forests pickle alike.
-            tree.classes_, tree.tree_, tree.n_features_ = classes, tree_arrays, X.shape[1]
+        DecisionTreeClassifier._fit_members(self.estimators_, X, samples, member_y, member_classes)
         self.n_features_ = X.shape[1]
         self._bank = None
         return self

@@ -18,10 +18,10 @@ alone.  Only the numpy work of a step is shared:
 - the class counts of all popped nodes come from one ``bincount`` over a
   shared row space (every tree's rows get global ids, tree after tree,
   which map to rows of ``X`` and to that tree's own class codes);
-- the exhaustive search is one ``(nodes, features, rows)`` block padded
-  with ``+inf``: a stable argsort along the rows orders every candidate
-  feature of every node, and one-hot prefix counts score every split
-  position at once;
+- the exhaustive search is one ``(nodes, features, rows)`` block (nodes
+  smaller than the step's largest are padded with ``+inf``): a stable
+  argsort along the rows orders every candidate feature of every node,
+  and one-hot prefix counts score every split position at once;
 - the extra-trees search is the same block with one uniform threshold per
   non-constant row, counted with 0/1 float matmuls;
 - the partition of every split node is one comparison and one stable sort.
@@ -31,8 +31,8 @@ elementwise function of exact integer class counts and sizes, padded
 positions are invalid (``+inf`` score), ties still go to the first
 position and then the first candidate feature, and the only reduction
 over classes (the impurity's sum) runs over each tree's own class columns.
-A step's block is split into chunks of nodes of similar size so that its
-memory stays bounded.
+A step whose block would exceed ``_BLOCK_ELEMENTS`` is searched in chunks
+of nodes of similar size, so that its memory stays bounded.
 
 Regression trees, which :mod:`repro.ml.boosting` fits to gradient
 residuals, grow one node at a time with the same block search over
@@ -91,20 +91,20 @@ def _candidate_features(rng: np.random.Generator, max_features, n_features: int)
     return rng.choice(n_features, size=k, replace=False)
 
 
-def _class_sum(terms: np.ndarray, widths: np.ndarray) -> np.ndarray:
+def _class_sum(terms: np.ndarray, widths: np.ndarray | None) -> np.ndarray:
     """Sum the last axis of ``terms`` over each node's own ``widths[node]`` class columns.
 
-    Nodes lie on axis 0.  A narrower tree's class columns are zero-padded
-    at the end; summing the padding too could regroup numpy's pairwise sum
-    and move a bit, so each node sums exactly the columns it has alone.
+    Nodes lie on axis 0; ``widths`` is None when every node has all the
+    columns.  A narrower tree's class columns are zero-padded at the end;
+    summing the padding too could regroup numpy's pairwise sum and move a
+    bit, so each node sums exactly the columns it has alone.
     """
-    width = widths[0]
-    if (widths == width).all():
-        return np.sum(terms[..., :width], axis=-1)
+    if widths is None:
+        return np.add.reduce(terms, axis=-1)
     out = np.empty(terms.shape[:-1])
     for width in np.unique(widths):
         nodes = widths == width
-        out[nodes] = np.sum(terms[nodes][..., :width], axis=-1)
+        out[nodes] = np.add.reduce(terms[nodes][..., :width], axis=-1)
     return out
 
 
@@ -149,8 +149,14 @@ class _Nodes:
 
 
 def _size_chunks(sizes: np.ndarray, elements_per_row: int) -> list[np.ndarray]:
-    """Positions of ``sizes`` in descending size, cut so each chunk's padded block fits the budget."""
-    order = np.argsort(-sizes, kind="stable")
+    """Positions of ``sizes`` cut into chunks whose padded blocks fit the budget.
+
+    A step that fits whole is one chunk; a larger one is cut in descending
+    size, so that each chunk pads its nodes to a similar width.
+    """
+    if sizes.size * int(sizes.max()) * elements_per_row <= _BLOCK_ELEMENTS:
+        return [np.arange(sizes.size)]
+    order = (-sizes).argsort(kind="stable")
     chunks = []
     start = 0
     while start < order.size:
@@ -188,7 +194,8 @@ class _ClassificationGrower:
         self.criterion = criterion
         self.splitter = splitter
         self.max_depth = np.inf if max_depth is None else max_depth
-        self.min_samples_split = min_samples_split
+        # The fewest rows a node needs to be searched at all.
+        self.min_split_size = max(min_samples_split, 2 * min_samples_leaf)
         self.min_samples_leaf = min_samples_leaf
         self.min_impurity_decrease = min_impurity_decrease
         self.max_features = max_features
@@ -217,11 +224,13 @@ class _ClassificationGrower:
         ends = np.cumsum([sample.size for sample in samples])
         roots = [np.arange(end - sample.size, end) for sample, end in zip(samples, ends)]
         widths = np.asarray(n_classes, dtype=np.int64)
+        if (widths == self._n_classes).all():
+            widths = None  # every tree sums all the class columns
         trees = [_Nodes() for _ in roots]
         # (indices, depth, parent id, is left child); the root has no parent.
         stacks = [[(root, 0, _LEAF, True)] for root in roots]
         active = list(range(len(roots)))
-        # Empty sides divide 0 by 0; ``_impurity`` zeroes what is not finite.
+        # The empty side of an invalid split divides 0 by 0.
         with np.errstate(divide="ignore", invalid="ignore"):
             while active:
                 self._step(active, [stacks[t].pop() for t in active], trees, stacks, widths, rngs)
@@ -241,23 +250,19 @@ class _ClassificationGrower:
         ]
         depths = np.array([node[1] for node in popped])
         pure = counts.max(axis=1) == totals
-        candidates = np.flatnonzero(
-            ~pure
-            & (depths < self.max_depth)
-            & (sizes >= self.min_samples_split)
-            & (sizes >= 2 * self.min_samples_leaf)
-        )
+        candidates = (~pure & (depths < self.max_depth) & (sizes >= self.min_split_size)).nonzero()[0]
         if candidates.size == 0:
             return
         tree_ids = [active[j] for j in candidates]
-        found, feature, threshold, gain = self._search(
+        feature, threshold, gain = self._search(
             [indices[j] for j in candidates],
             sizes[candidates],
             counts[candidates],
-            widths[tree_ids],
+            None if widths is None else widths[tree_ids],
             [rngs[t] for t in tree_ids],
         )
-        split = np.flatnonzero(found & (gain >= self.min_impurity_decrease))
+        # A gain of -inf marks a node without a valid split.
+        split = ((gain > -np.inf) & (gain >= self.min_impurity_decrease)).nonzero()[0]
         if split.size == 0:
             return
         children = self._partition([indices[candidates[s]] for s in split], feature[split], threshold[split])
@@ -278,10 +283,13 @@ class _ClassificationGrower:
         keys = node_of_row + self._labels[np.concatenate(indices)]
         return np.bincount(keys, minlength=sizes.size * C).reshape(sizes.size, C).astype(np.float64)
 
-    def _impurity(self, counts: np.ndarray, totals: np.ndarray, widths: np.ndarray) -> np.ndarray:
-        """Impurity of count rows; ``totals`` broadcasts against ``counts``."""
+    def _impurity(self, counts: np.ndarray, totals: np.ndarray, widths: np.ndarray | None) -> np.ndarray:
+        """Impurity of count rows; ``totals`` broadcasts against ``counts``.
+
+        A zero total gives NaN; only invalid splits have one, and the
+        searches mask their scores.
+        """
         p = counts / totals
-        p = np.where(np.isfinite(p), p, 0.0)
         if self.criterion == "gini":
             return 1.0 - _class_sum(p**2, widths)
         logp = np.log2(p, out=np.zeros_like(p), where=p > 0)
@@ -294,50 +302,58 @@ class _ClassificationGrower:
         return (n_left / n) * impurity_left + (n_right / n) * impurity_right
 
     def _search(self, indices, sizes, counts, widths, rngs):
-        """Best split of every candidate node: ``(found, feature, threshold, gain)`` arrays.
+        """Best split of every candidate node: ``(feature, threshold, gain)`` arrays.
 
         Candidate features are drawn node by node, each from its own tree's
-        generator; the blocks are then searched in size-sorted chunks.
+        generator; the nodes are then searched in chunks, each as one
+        ``(nodes, features, rows)`` block of ``X``'s values.
         """
         n_features = self._columns.shape[0]
         features = np.array([_candidate_features(rng, self.max_features, n_features) for rng in rngs])
-        parent = self._impurity(counts, sizes[:, None].astype(np.float64), widths)
-        found = np.zeros(sizes.size, dtype=bool)
-        feature = np.zeros(sizes.size, dtype=np.int64)
-        threshold = np.zeros(sizes.size)
-        gain = np.zeros(sizes.size)
-        search = self._search_best if self.splitter == "best" else self._search_random
+        parent = self._impurity(counts, sizes[:, None], widths)
+        feature = np.empty(sizes.size, dtype=np.int64)
+        threshold = np.empty(sizes.size)
+        gain = np.empty(sizes.size)
         for chunk in _size_chunks(sizes, features.shape[1] * self._n_classes):
-            # Rows of a node in their original order, padded with the sentinel.
-            width = int(sizes[chunk[0]])
-            rows = np.full((chunk.size, width), self._pad)
-            real = np.arange(width) < sizes[chunk, None]
-            rows[real] = np.concatenate([indices[c] for c in chunk])
-            row, thr, best = search(
-                rows,
-                real,
-                features[chunk],
-                sizes[chunk],
-                counts[chunk],
-                parent[chunk],
-                widths[chunk],
-                [rngs[c] for c in chunk],
-            )
-            found[chunk] = best != -np.inf
-            feature[chunk] = features[chunk, row]
-            threshold[chunk] = thr
-            gain[chunk] = best
-        return found, feature, threshold, gain
+            rows, real = self._padded_rows([indices[c] for c in chunk], sizes[chunk])
+            chunk_features = features[chunk]
+            block = self._columns[chunk_features[:, :, None], self._source[rows][:, None, :]]
+            chunk_widths = None if widths is None else widths[chunk]
+            if self.splitter == "best":
+                row, threshold[chunk], gain[chunk] = self._search_best(
+                    block, rows, sizes[chunk], counts[chunk], parent[chunk], chunk_widths
+                )
+            else:
+                chunk_rngs = [rngs[c] for c in chunk]
+                row, threshold[chunk], gain[chunk] = self._search_random(
+                    block, rows, real, sizes[chunk], counts[chunk], parent[chunk], chunk_widths, chunk_rngs
+                )
+            feature[chunk] = chunk_features[np.arange(chunk.size), row]
+        return feature, threshold, gain
 
-    def _search_best(self, rows, real, features, sizes, counts, parent, widths, rngs):
+    def _padded_rows(self, indices, sizes) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every node's row ids in their original order, one node per row, and the mask of real ids.
+
+        Nodes narrower than the widest are padded with the sentinel id; the
+        mask is None when no node is.
+        """
+        rows = np.concatenate(indices)
+        width = int(sizes.max())
+        if rows.size == sizes.size * width:
+            return rows.reshape(sizes.size, width), None
+        real = np.arange(width) < sizes[:, None]
+        padded = np.full(real.shape, self._pad)
+        padded[real] = rows
+        return padded, real
+
+    def _search_best(self, block, rows, sizes, counts, parent, widths):
         """Exhaustive search: the best position of every feature, then the best feature."""
         nodes = np.arange(sizes.size)
-        block = self._columns[features[:, :, None], self._source[rows][:, None, :]]  # (E, F, L)
-        sorted_rows = rows[nodes[:, None, None], np.argsort(block, axis=2, kind="stable")]
-        sorted_block = self._columns[features[:, :, None], self._source[sorted_rows]]
-        sorted_labels = self._labels[sorted_rows]
+        order = block.argsort(axis=2, kind="stable")
+        sorted_block = np.sort(block, axis=2, kind="stable")  # the values in ``order``
+        sorted_labels = self._labels[rows[nodes[:, None, None], order]]
         # Position p puts the first p + 1 sorted samples on the left.
-        left = np.cumsum(sorted_labels[..., None] == self._classes, axis=2, dtype=np.float64)[:, :, :-1]
+        left = (sorted_labels[..., None] == self._classes).cumsum(axis=2, dtype=np.float64)[:, :, :-1]
         right = counts[:, None, None, :] - left
         n = sizes.astype(np.float64)[:, None, None]
         n_left = np.arange(1, block.shape[2], dtype=np.float64)
@@ -351,23 +367,22 @@ class _ClassificationGrower:
             & (n_right >= self.min_samples_leaf)
         )
         scores = np.where(valid, scores, np.inf)
-        positions = np.argmin(scores, axis=2)
+        positions = scores.argmin(axis=2)
         gains = parent[:, None] - scores.min(axis=2)
-        row = np.argmax(gains, axis=1)  # -inf: no valid position
+        row = gains.argmax(axis=1)  # -inf: no valid position
         p = positions[nodes, row]
         threshold = 0.5 * (sorted_block[nodes, row, p] + sorted_block[nodes, row, p + 1])
         return row, threshold, gains[nodes, row]
 
-    def _search_random(self, rows, real, features, sizes, counts, parent, widths, rngs):
+    def _search_random(self, block, rows, real, sizes, counts, parent, widths, rngs):
         """Extra-trees search: one uniform threshold per non-constant feature, drawn in feature order."""
         nodes = np.arange(sizes.size)
-        block = self._columns[features[:, :, None], self._source[rows][:, None, :]]  # (E, F, L)
         lo = block.min(axis=2)
-        hi = np.where(real[:, None, :], block, -np.inf).max(axis=2)
+        hi = (block if real is None else np.where(real[:, None, :], block, -np.inf)).max(axis=2)
         live = lo != hi
         # Each node draws from its own generator, over its live features only.
         lo_live, hi_live = lo[live], hi[live]
-        bounds = np.cumsum(live.sum(axis=1)).tolist()
+        bounds = live.sum(axis=1).cumsum().tolist()
         draws = [
             rng.uniform(lo_live[start:stop], hi_live[start:stop])
             for rng, start, stop in zip(rngs, [0] + bounds, bounds)
@@ -387,7 +402,7 @@ class _ClassificationGrower:
         scores = self._split_scores(left, right, n_left, n_right, n, widths)
         valid = live & (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
         gains = np.where(valid, parent[:, None] - scores, -np.inf)
-        row = np.argmax(gains, axis=1)
+        row = gains.argmax(axis=1)
         return row, thresholds[nodes, row], gains[nodes, row]
 
     def _partition(self, indices, feature, threshold) -> list[np.ndarray]:
@@ -395,10 +410,9 @@ class _ClassificationGrower:
         sizes = np.array([rows.size for rows in indices])
         node = np.repeat(np.arange(sizes.size), sizes)
         rows = np.concatenate(indices)
-        goes_right = ~(self._columns[feature[node], self._source[rows]] <= threshold[node])
-        side = 2 * node + goes_right
-        bounds = np.cumsum(np.bincount(side, minlength=2 * sizes.size)).tolist()
-        rows = rows[np.argsort(side, kind="stable")]
+        side = 2 * node + (self._columns[feature[node], self._source[rows]] > threshold[node])
+        bounds = np.bincount(side, minlength=2 * sizes.size).cumsum().tolist()
+        rows = rows[side.argsort(kind="stable")]
         return [rows[start:stop] for start, stop in zip([0] + bounds, bounds)]
 
 
@@ -576,23 +590,34 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     def fit(self, X, y) -> "DecisionTreeClassifier":
         X, y = check_X_y(X, y)
         encoded = self._encode_labels(y)
-        rng = check_random_state(self.random_state)
         # A standalone tree is the one-tree case of lock-step growth.
-        (self.tree_,) = self._grower().grow(X, [np.arange(X.shape[0])], [encoded], [self.n_classes_], [rng])
-        self.n_features_ = X.shape[1]
+        self._fit_members([self], X, [np.arange(X.shape[0])], [encoded], [self.classes_])
         return self
 
-    def _grower(self) -> _ClassificationGrower:
-        """A grower with this tree's settings; forests grow all members with one."""
-        return _ClassificationGrower(
-            self.criterion,
-            self.splitter,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            min_impurity_decrease=self.min_impurity_decrease,
-            max_features=self.max_features,
+    @staticmethod
+    def _fit_members(members, X, samples, labels, classes) -> None:
+        """Grow ``members`` in lock-step and set their fitted attributes.
+
+        Member ``t`` grows on the rows ``samples[t]`` of ``X``, whose labels
+        ``labels[t]`` code its ``classes[t]`` as ``0..k-1``, and draws from
+        its own ``random_state``.  Every member has the first one's growth
+        settings.  The attributes are set in the same order for a lone tree
+        and for a forest's members, so that both pickle alike.
+        """
+        first = members[0]
+        grower = _ClassificationGrower(
+            first.criterion,
+            first.splitter,
+            max_depth=first.max_depth,
+            min_samples_split=first.min_samples_split,
+            min_samples_leaf=first.min_samples_leaf,
+            min_impurity_decrease=first.min_impurity_decrease,
+            max_features=first.max_features,
         )
+        rngs = [check_random_state(member.random_state) for member in members]
+        trees = grower.grow(X, samples, labels, [member_classes.size for member_classes in classes], rngs)
+        for member, tree, member_classes in zip(members, trees, classes):
+            member.classes_, member.tree_, member.n_features_ = member_classes, tree, X.shape[1]
 
     def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "tree_")
