@@ -13,9 +13,9 @@ concurrent threads under three regimes:
   measure the shed rate (typed :class:`BackpressureError`, never a
   block or a drop).
 
-The unbatched and batched regimes run alternately ``--rounds`` times
-(default 3), and each regime is summarized by its round of best
-throughput, so one slow spell of a shared host cannot decide the gate.
+The unbatched and batched regimes run alternately ``ROUNDS`` times, and
+each regime is summarized by its round of best throughput, so one slow
+spell of a shared host cannot decide the gate.
 Two invariants are asserted, not merely reported: served labels are
 identical to offline ``AutoML.predict`` for every row of every round, and
 the best batched throughput is at least 2x the best unbatched one.
@@ -45,6 +45,9 @@ from repro.runtime.clock import Stopwatch
 from repro.serve import ModelRegistry, ServeConfig, ServeService
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Alternated unbatched/batched rounds; each regime keeps its best.
+ROUNDS = 3
 
 
 def drive(service: ServeService, X, total_requests: int, n_threads: int, *, retry_on_shed: bool = False) -> dict:
@@ -126,14 +129,11 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=400, help="requests per regime")
     parser.add_argument("--threads", type=int, default=8, help="concurrent client threads")
     parser.add_argument("--iterations", type=int, default=8, help="AutoML candidates")
-    parser.add_argument("--rounds", type=int, default=3, help="alternated unbatched/batched rounds")
     parser.add_argument("--seed", type=int, default=123)
     parser.add_argument(
         "--output", type=Path, default=REPO_ROOT / "BENCH_serve.json", help="result file"
     )
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error(f"--rounds must be >= 1, got {args.rounds}")
 
     print(f"fitting the served model ({args.iterations} candidates, {os.cpu_count()} CPU core(s))")
     data = generate_scream_dataset(args.n_samples, random_state=args.seed)
@@ -169,7 +169,7 @@ def main(argv=None) -> int:
         # The two throughput regimes alternate, so a slow spell of the host
         # hits both; each is judged by its best round.
         rounds: dict[str, list[dict]] = {"unbatched": [], "batched": []}
-        for _ in range(args.rounds):
+        for _ in range(ROUNDS):
             for name in rounds:
                 rounds[name].append(run_regime(name))
         summaries = {
@@ -195,7 +195,7 @@ def main(argv=None) -> int:
             "rows_per_request": 1,
             "n_samples": args.n_samples,
             "automl_iterations": args.iterations,
-            "rounds": args.rounds,
+            "rounds": ROUNDS,
             "seed": args.seed,
         },
         "cpu_count": os.cpu_count(),
