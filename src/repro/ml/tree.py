@@ -279,7 +279,7 @@ class _ClassificationGrower:
     def _class_counts(self, indices: list[np.ndarray], sizes: np.ndarray) -> np.ndarray:
         """``(nodes, classes)`` float counts of every node, in one ``bincount``."""
         C = self._n_classes
-        node_of_row = np.repeat(np.arange(sizes.size) * C, sizes)
+        node_of_row = (np.arange(sizes.size) * C).repeat(sizes)
         keys = node_of_row + self._labels[np.concatenate(indices)]
         return np.bincount(keys, minlength=sizes.size * C).reshape(sizes.size, C).astype(np.float64)
 
@@ -408,7 +408,7 @@ class _ClassificationGrower:
     def _partition(self, indices, feature, threshold) -> list[np.ndarray]:
         """``[left_0, right_0, left_1, ...]``: every split node's rows, order kept, in one pass."""
         sizes = np.array([rows.size for rows in indices])
-        node = np.repeat(np.arange(sizes.size), sizes)
+        node = np.arange(sizes.size).repeat(sizes)
         rows = np.concatenate(indices)
         side = 2 * node + (self._columns[feature[node], self._source[rows]] > threshold[node])
         bounds = np.bincount(side, minlength=2 * sizes.size).cumsum().tolist()
