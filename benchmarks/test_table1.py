@@ -23,8 +23,8 @@ from .conftest import banner, bench_scale
 
 # The AutoML candidate budget is the fidelity lever that matters most at
 # laptop scale: stronger per-run search concentrates committee disagreement
-# where data is genuinely lacking (see EXPERIMENTS.md).  30 candidates per
-# fit keeps the full table under ~10 minutes.
+# where data is genuinely lacking (see EXPERIMENTS.md).  With 30 candidates
+# per fit the full table takes about 40 s serial (38 s on a 2-vCPU AMD EPYC).
 _DEFAULT = Table1Config(
     n_train=350,
     n_test=1000,

@@ -3,9 +3,10 @@
 The paper labels network conditions with whether the SCReAM protocol
 achieves the lowest end-to-end latency, using the Pantheon emulator as the
 ground-truth oracle.  Here the oracle is :mod:`repro.netsim`: for a feature
-vector (bottleneck bandwidth, RTT, loss rate, concurrent flows) every
-protocol is emulated and SCReAM "wins" if it has the best
-:meth:`~repro.netsim.FlowMetrics.latency_score`.
+vector (bottleneck bandwidth, RTT, loss rate, concurrent flows) SCReAM
+"wins" if it has the best :meth:`~repro.netsim.FlowMetrics.latency_score`.
+SCReAM is emulated first and the oracle stops at the first protocol that
+beats it, so a negative label usually costs fewer than five runs.
 
 Because labels come from an emulator, *any* point the feedback algorithm
 suggests can be labeled — the property that separates the paper's
@@ -122,6 +123,31 @@ class LabeledDataset:
             )
 
 
+#: SCReAM's rivals, in the order the oracle emulates them: on uniform
+#: scenarios, the protocols that most often beat SCReAM come first.
+RIVAL_ORDER = ("vegas", "cubic", "reno", "bbr")
+
+
+def scream_label(score) -> int:
+    """Label one scenario from ``score(protocol)``, calling it as few times as possible.
+
+    SCReAM is scored first: a score that is not ``< inf`` (disqualified or
+    NaN) is a negative.  The rivals follow in :data:`RIVAL_ORDER`, and the
+    first one that beats SCReAM ends the search with a negative.  The
+    label is the one an argmin over every score below ``inf`` would give.
+    """
+    scream_score = score("scream")
+    if not scream_score < float("inf"):
+        return SCREAM_NEGATIVE  # "use scream" is unsupported where it cannot run
+    for rival in RIVAL_ORDER:
+        rival_score = score(rival)
+        # The argmin takes the first minimum in sorted order, so a tie goes
+        # to a rival whose name sorts before "scream".  NaN never beats it.
+        if rival_score < scream_score or (rival_score == scream_score and rival < "scream"):
+            return SCREAM_NEGATIVE
+    return SCREAM_POSITIVE
+
+
 class ScreamOracle:
     """Labels arbitrary network-condition feature vectors by emulation.
 
@@ -155,28 +181,23 @@ class ScreamOracle:
     def domains(self) -> list[FeatureDomain]:
         return self.space.domains()
 
-    def score_all_protocols(self, features) -> dict[str, float]:
-        """Latency score of every protocol for one feature vector."""
+    def label_one(self, features) -> int:
+        """1 if SCReAM is the (qualified) latency winner, else 0.
+
+        One seed is drawn per label.  A protocol that runs uses ``seed`` plus
+        its index in ``sorted(PROTOCOLS)``, so neither the label nor the
+        oracle's generator depends on how many protocols ran.
+        """
+        self.queries += 1
         scenario = self.space.scenario_from_features(features)
         seed = int(self._rng.integers(0, 2**31 - 1))
-        scores = {}
-        for index, protocol in enumerate(sorted(PROTOCOLS)):
-            if self.engine == "fluid":
-                metrics = run_fluid_scenario(scenario, protocol, random_state=seed + index)
-            else:
-                metrics = run_packet_scenario(scenario, protocol, random_state=seed + index)
-            scores[protocol] = metrics.latency_score(min_share=self.min_share)
-        return scores
+        run = run_fluid_scenario if self.engine == "fluid" else run_packet_scenario
 
-    def label_one(self, features) -> int:
-        """1 if SCReAM is the (qualified) latency winner, else 0."""
-        self.queries += 1
-        scores = self.score_all_protocols(features)
-        finite = {p: s for p, s in scores.items() if s < float("inf")}
-        if not finite:
-            return SCREAM_NEGATIVE  # nothing usable; "use scream" is unsupported
-        best = min(finite, key=finite.get)
-        return SCREAM_POSITIVE if best == "scream" else SCREAM_NEGATIVE
+        def score(protocol: str) -> float:
+            metrics = run(scenario, protocol, random_state=seed + sorted(PROTOCOLS).index(protocol))
+            return metrics.latency_score(min_share=self.min_share)
+
+        return scream_label(score)
 
     def label(self, X) -> np.ndarray:
         """Vectorized :meth:`label_one`."""
@@ -198,8 +219,9 @@ def generate_scream_dataset(
     (:meth:`ScenarioSpace.sample_production_biased`) instead of uniformly —
     the collection bias §2.2 argues feedback must overcome.
 
-    Labeling every row runs the network emulator, which makes this the
-    most expensive input of an experiment.  The sharded experiment grid
+    Labeling a row runs the network emulator: SCReAM first, then its
+    rivals until one beats it (:class:`ScreamOracle`).  That makes this
+    the most expensive input of an experiment.  The sharded experiment grid
     wraps it as the ``repro.experiments.tasks:scream_dataset`` task
     family, so generated datasets are content-addressed in the runtime's
     artifact cache and a warm rerun skips the emulation entirely.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import (
     FIREWALL_ACTIONS,
@@ -14,7 +16,12 @@ from repro.datasets import (
     make_test_sets,
     split_train_test_pool,
 )
+from repro.datasets import scream
+from repro.datasets.scream import RIVAL_ORDER, scream_label
 from repro.exceptions import ValidationError
+from repro.netsim import PROTOCOLS, run_fluid_scenario, run_packet_scenario
+from repro.netsim.scenarios import DEFAULT_SPACE
+from repro.rng import check_random_state
 
 
 class TestLabeledDataset:
@@ -80,18 +87,47 @@ class TestScreamDataset:
             generate_scream_dataset(0)
 
 
+def _argmin_label(scores: dict) -> int:
+    """The label as the argmin over all five scores: first minimum in sorted order."""
+    finite = {protocol: scores[protocol] for protocol in sorted(scores) if scores[protocol] < float("inf")}
+    return int(bool(finite) and min(finite, key=finite.get) == "scream")
+
+
+def _all_scores(run, scenario, seed: int, min_share: float = 0.08) -> dict:
+    """Every protocol's latency score, each on ``seed + <index in sorted(PROTOCOLS)>``."""
+    return {
+        protocol: run(scenario, protocol, random_state=seed + index).latency_score(min_share=min_share)
+        for index, protocol in enumerate(sorted(PROTOCOLS))
+    }
+
+
+def _crafted_label(scores: dict) -> tuple[int, list]:
+    """``scream_label`` on fixed scores, with the protocols it asked for."""
+    asked = []
+
+    def score(protocol):
+        asked.append(protocol)
+        return scores[protocol]
+
+    return scream_label(score), asked
+
+
+def _draw_seed(rng) -> int:
+    return int(rng.integers(0, 2**31 - 1))
+
+
 class TestScreamOracle:
     def test_label_matches_best_protocol(self):
         oracle = ScreamOracle(random_state=0)
-        features = [50.0, 50.0, 0.015, 2.0]  # lossy: scream should win
-        scores = oracle.score_all_protocols(features)
-        finite = {p: s for p, s in scores.items() if s < float("inf")}
-        label = oracle.label_one(features)
-        expected = 1 if finite and min(finite, key=finite.get) == "scream" else 0
-        # label_one re-seeds internally, so compare logic not exact seeds:
-        assert label in (0, 1)
-        assert set(scores) == {"bbr", "cubic", "reno", "scream", "vegas"}
-        assert expected in (0, 1)
+        twin = check_random_state(0)
+        points = ([50.0, 50.0, 0.015, 2.0], [20.0, 40.0, 0.0, 2.0], [10.0, 80.0, 0.018, 1.0], [5.0, 80.0, 0.01, 4.0])
+        labels, expected = [], []
+        for features in points:
+            scenario = DEFAULT_SPACE.scenario_from_features(features)
+            expected.append(_argmin_label(_all_scores(run_fluid_scenario, scenario, _draw_seed(twin))))
+            labels.append(oracle.label_one(features))
+        assert labels == expected
+        assert set(expected) == {0, 1}
 
     def test_vectorized_label(self):
         oracle = ScreamOracle(random_state=1)
@@ -108,6 +144,110 @@ class TestScreamOracle:
         oracle = ScreamOracle(engine="packet", random_state=2)
         label = oracle.label_one([20.0, 40.0, 0.0, 1.0])
         assert label in (0, 1)
+
+
+class TestScreamDecision:
+    """``scream_label`` on crafted scores: the argmin's tie rule and the early exit."""
+
+    def test_rival_order_covers_every_protocol(self):
+        assert sorted(RIVAL_ORDER + ("scream",)) == sorted(PROTOCOLS)
+
+    @pytest.mark.parametrize("rival", ["bbr", "cubic", "reno"])
+    def test_tie_with_a_name_sorting_before_scream_is_negative(self, rival):
+        scores = dict.fromkeys(PROTOCOLS, 9.0)
+        scores["scream"] = scores[rival] = 5.0
+        assert _crafted_label(scores)[0] == 0 == _argmin_label(scores)
+
+    def test_tie_with_vegas_only_is_positive(self):
+        scores = dict.fromkeys(PROTOCOLS, 9.0)
+        scores["scream"] = scores["vegas"] = 5.0
+        label, asked = _crafted_label(scores)
+        assert label == 1 == _argmin_label(scores)
+        assert asked == ["scream", *RIVAL_ORDER]
+
+    @pytest.mark.parametrize("scream", [float("inf"), float("nan")])
+    def test_disqualified_scream_is_negative_after_one_run(self, scream):
+        scores = dict.fromkeys(PROTOCOLS, 9.0)
+        scores["scream"] = scream
+        assert _crafted_label(scores) == (0, ["scream"])
+        assert _argmin_label(scores) == 0
+
+    def test_all_disqualified_is_negative(self):
+        scores = dict.fromkeys(PROTOCOLS, float("inf"))
+        assert _crafted_label(scores) == (0, ["scream"])
+        assert _argmin_label(scores) == 0
+
+    def test_disqualified_or_nan_rivals_never_beat_scream(self):
+        nan, inf = float("nan"), float("inf")
+        scores = {"bbr": nan, "cubic": inf, "reno": 9.0, "scream": 5.0, "vegas": nan}
+        assert _crafted_label(scores)[0] == 1 == _argmin_label(scores)
+
+    def test_stops_at_the_first_rival_that_beats_scream(self):
+        scores = dict.fromkeys(PROTOCOLS, 1.0)
+        scores["scream"] = 5.0
+        scores[RIVAL_ORDER[0]] = 9.0
+        assert _crafted_label(scores) == (0, ["scream", *RIVAL_ORDER[:2]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([1.0, 2.0, 3.0, float("inf"), float("nan")]),
+            min_size=len(PROTOCOLS),
+            max_size=len(PROTOCOLS),
+        )
+    )
+    def test_matches_the_argmin_rule(self, values):
+        scores = dict(zip(sorted(PROTOCOLS), values))
+        label, asked = _crafted_label(scores)
+        assert label == _argmin_label(scores)
+        assert asked[0] == "scream" and len(set(asked)) == len(asked)
+
+
+class TestScreamOracleEquivalence:
+    """The early-exit oracle against the five-score argmin, on emulated scenarios.
+
+    The reference draws each label's seed from a twin of the oracle's
+    generator, so equal labels, equal query counts and an equal next draw
+    show that the labels and the oracle's stream are bitwise unchanged.
+    """
+
+    def _check(self, scenarios, engine, run, seed):
+        oracle = ScreamOracle(engine=engine, random_state=seed)
+        twin = check_random_state(seed)
+        for scenario in scenarios:
+            features = scenario.as_features()
+            scores = _all_scores(run, DEFAULT_SPACE.scenario_from_features(features), _draw_seed(twin))
+            assert oracle.label_one(features) == _argmin_label(scores)
+        assert oracle.queries == len(scenarios)
+        assert _draw_seed(oracle._rng) == _draw_seed(twin)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_fluid_uniform(self, seed):
+        self._check(DEFAULT_SPACE.sample(100, seed), "fluid", run_fluid_scenario, seed)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_fluid_biased(self, seed):
+        self._check(DEFAULT_SPACE.sample_production_biased(100, seed), "fluid", run_fluid_scenario, seed)
+
+    def test_packet(self, monkeypatch):
+        # The packet engine is deterministic in its arguments, and the oracle
+        # must call it with arguments the reference already used.  A memo
+        # keyed on all of them spares the oracle's runs (a third of the
+        # cost) and shows that its seeds match: no call may miss.
+        memo, hits = {}, []
+
+        def run(scenario, protocol, *, random_state):
+            key = (scenario, protocol, random_state)
+            if key in memo:
+                hits.append(key)
+            else:
+                memo[key] = run_packet_scenario(scenario, protocol, random_state=random_state)
+            return memo[key]
+
+        monkeypatch.setattr(scream, "run_packet_scenario", run)
+        self._check(DEFAULT_SPACE.sample(10, 14), "packet", run, 14)
+        assert len(memo) == 10 * len(PROTOCOLS)
+        assert len(hits) >= 10
 
 
 class TestFirewallDataset:
