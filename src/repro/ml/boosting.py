@@ -5,6 +5,11 @@ fit to the softmax cross-entropy gradient (the classic GBM recipe).  Depth
 is kept shallow by default; the model family contributes strong,
 differently-biased members to the AutoML ensemble.
 
+A round's class trees see the same rows and residuals that are fixed
+before any of them is fit, and they draw nothing, so they grow together,
+level by level, in one :meth:`DecisionTreeRegressor._fit_members` call;
+each tree is bitwise the tree a lone fit on those rows grows.
+
 ``decision_function`` evaluates every stage tree through one
 :class:`repro.ml.kernels.TreeBank` traversal instead of ``rounds ×
 classes`` per-tree passes; the logit accumulation replays the historical
@@ -87,16 +92,15 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
                 rows = round_rng.choice(n, size=min(size, n), replace=False)
             else:
                 rows = np.arange(n)
-            stage: list[DecisionTreeRegressor] = []
-            for c in range(k):
-                tree = DecisionTreeRegressor(
-                    max_depth=self.max_depth,
-                    min_samples_leaf=self.min_samples_leaf,
-                    random_state=round_rng,
-                )
-                tree.fit(X[rows], residual[rows, c])
+            stage = [
+                DecisionTreeRegressor(max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf)
+                for _ in range(k)
+            ]
+            # The stage's class trees share their rows and draw nothing, so
+            # they grow together; residuals are fixed before any of them.
+            DecisionTreeRegressor._fit_members(stage, X, rows, residual[rows].T)
+            for c, tree in enumerate(stage):
                 logits[:, c] += self.learning_rate * tree.predict(X)
-                stage.append(tree)
             self.stages_.append(stage)
         self.n_features_ = X.shape[1]
         self._bank = None

@@ -1,19 +1,19 @@
 """CART decision trees (classification and regression).
 
-A from-scratch, numpy-vectorized CART implementation.  Trees grow from an
-explicit pre-order stack (right child pushed before left), so depth is not
-bounded by Python's recursion limit and node ids and random draws come in
-the order a recursive grower would give them.  They are stored as flat
-arrays (``children_left`` / ``children_right`` / ``feature`` /
-``threshold`` / ``value``), which keeps prediction a tight vectorized loop
-and makes the structure easy to inspect in tests.
+A from-scratch, numpy-vectorized CART implementation.  Trees are stored as
+flat arrays (``children_left`` / ``children_right`` / ``feature`` /
+``threshold`` / ``value``) whose node ids run in pre-order (a node, its
+left subtree, then its right), which keeps prediction a tight vectorized
+loop and makes the structure easy to inspect in tests.  Growth is
+iterative, so depth is not bounded by Python's recursion limit.
 
 Classification trees grow in lock-step: :class:`_ClassificationGrower`
 takes any number of trees (a forest's members, or one standalone tree) and
-advances every unfinished tree by one node per step.  Each tree keeps its
-own generator, rows and pre-order stack, so its ``choice`` and ``uniform``
-draws happen in the same order with the same arguments as when it grows
-alone.  Only the numpy work of a step is shared:
+advances every unfinished tree by one node per step, from its own
+pre-order stack (right child pushed before left).  Each tree keeps its own
+generator, rows and stack, so its ``choice`` and ``uniform`` draws happen
+in the same order with the same arguments as when it grows alone.  Only
+the numpy work of a step is shared:
 
 - the class counts of all popped nodes come from one ``bincount`` over a
   shared row space (every tree's rows get global ids, tree after tree,
@@ -31,12 +31,22 @@ elementwise function of exact integer class counts and sizes, padded
 positions are invalid (``+inf`` score), ties still go to the first
 position and then the first candidate feature, and the only reduction
 over classes (the impurity's sum) runs over each tree's own class columns.
-A step whose block would exceed ``_BLOCK_ELEMENTS`` is searched in chunks
-of nodes of similar size, so that its memory stays bounded.
 
 Regression trees, which :mod:`repro.ml.boosting` fits to gradient
-residuals, grow one node at a time with the same block search over
-row-wise ``cumsum`` prefix sums.
+residuals, grow level by level: :class:`_RegressionGrower` takes the trees
+of one boosting stage (or one standalone tree), which share their rows and
+draw nothing, and each step handles every open node of one depth in every
+tree with the same padded block search over row-wise ``cumsum`` prefix
+sums and one partition.  Node ids are renumbered to pre-order at the end.
+It is bitwise identical to growing each tree depth-first, node by node,
+because a prefix sum runs sequentially (trailing padding never reaches a
+real one) and the sums that numpy computes pairwise (a node's targets and
+squared deviations, and each feature's total and total of squares) are
+taken per distinct node size on unpadded copies (:func:`_row_sums`).
+
+A step whose block would exceed ``_BLOCK_ELEMENTS``, or carry more than
+``_PAD_ELEMENTS`` of padding, is searched in chunks of nodes of similar
+size, so that its memory stays bounded and little work goes to padding.
 """
 
 from __future__ import annotations
@@ -53,8 +63,12 @@ _NO_FEATURE = -1
 _LEAF = -1
 
 #: Largest ``nodes * features * rows * classes`` block one classification
-#: search call builds; a step with more is searched in several chunks.
+#: search call builds (``nodes * features * rows`` for regression); a step
+#: with more is searched in several chunks.
 _BLOCK_ELEMENTS = 1 << 18
+#: Most padded elements a step's block may carry before it is cut into
+#: chunks of similar size: past this, padding costs more than a search call.
+_PAD_ELEMENTS = 1 << 12
 
 
 def _resolve_max_features(max_features, n_features: int) -> int:
@@ -149,33 +163,109 @@ class _Nodes:
 
 
 def _size_chunks(sizes: np.ndarray, elements_per_row: int) -> list[np.ndarray]:
-    """Positions of ``sizes`` cut into chunks whose padded blocks fit the budget.
+    """Positions of ``sizes`` cut into chunks whose padded blocks fit the budgets.
 
-    A step that fits whole is one chunk; a larger one is cut in descending
-    size, so that each chunk pads its nodes to a similar width.
+    A step that fits whole, with little padding, is one chunk.  Otherwise
+    the nodes are taken in descending size, and a chunk is cut when it
+    would exceed ``_BLOCK_ELEMENTS`` or when padding the nodes still to
+    come to its width would waste more than ``_PAD_ELEMENTS``: then each
+    chunk pads its nodes to a similar width.
     """
-    if sizes.size * int(sizes.max()) * elements_per_row <= _BLOCK_ELEMENTS:
+    width = int(sizes.max())
+    padding = (sizes.size * width - int(sizes.sum())) * elements_per_row
+    if sizes.size * width * elements_per_row <= _BLOCK_ELEMENTS and padding <= _PAD_ELEMENTS:
         return [np.arange(sizes.size)]
     order = (-sizes).argsort(kind="stable")
+    ordered = sizes[order].tolist()
     chunks = []
     start = 0
-    while start < order.size:
-        per_node = int(sizes[order[start]]) * elements_per_row
-        stop = start + max(1, _BLOCK_ELEMENTS // per_node)
-        chunks.append(order[start:stop])
-        start = stop
+    for j, size in enumerate(ordered[1:], 1):
+        width = ordered[start]
+        full = (j - start + 1) * width * elements_per_row > _BLOCK_ELEMENTS
+        wasteful = (width - size) * (len(ordered) - j) * elements_per_row > _PAD_ELEMENTS
+        if full or wasteful:
+            chunks.append(order[start:j])
+            start = j
+    chunks.append(order[start:])
     return chunks
 
 
-class _ClassificationGrower:
+def _row_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum the first ``sizes[node]`` entries of the last axis of ``values``, nodes on axis 0.
+
+    A node narrower than the block is padded; summing the padding too would
+    regroup numpy's pairwise sum and move a bit.  So each distinct size is
+    summed on its own unpadded C-contiguous copy, where every row sums as a
+    1-D ``np.add.reduce`` of its entries would.
+    """
+    if (sizes == values.shape[-1]).all():
+        return np.add.reduce(np.ascontiguousarray(values), axis=-1)
+    out = np.empty(values.shape[:-1])
+    groups: dict[int, list[int]] = {}
+    for node, size in enumerate(sizes.tolist()):
+        groups.setdefault(size, []).append(node)
+    for size, nodes in groups.items():
+        # A list index copies the rows; one node's rows are copied explicitly.
+        rows = values[nodes, ..., :size] if len(nodes) > 1 else values[nodes[0], ..., :size].copy()
+        out[nodes] = np.add.reduce(rows, axis=-1)
+    return out
+
+
+class _Grower:
+    """The row space that the growers' steps index.
+
+    Every tree's rows get global ids, tree after tree, which map to rows of
+    ``X`` through ``_source``; so a step's nodes index one id-to-row map,
+    and ``X`` is not copied per tree.  ``_columns`` holds one row per
+    feature plus a sentinel column whose value is +inf: it sorts after
+    every real value, and the sentinel id ``_pad`` maps to it.
+    """
+
+    def _share_rows(self, X: np.ndarray, samples: list[np.ndarray]) -> list[np.ndarray]:
+        """Set up the row space of trees grown on ``samples``; return each tree's root ids."""
+        n_rows, n_features = X.shape
+        self._columns = np.empty((n_features, n_rows + 1))
+        self._columns[:, :n_rows] = X.T
+        self._columns[:, n_rows] = np.inf
+        self._source = np.append(np.concatenate(samples), n_rows)
+        self._pad = self._source.size - 1
+        ends = np.cumsum([sample.size for sample in samples])
+        return [np.arange(end - sample.size, end) for sample, end in zip(samples, ends)]
+
+    def _padded_rows(self, indices, sizes) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every node's row ids in their original order, one node per row, and the mask of real ids.
+
+        Nodes narrower than the widest are padded with the sentinel id; the
+        mask is None when no node is.
+        """
+        rows = np.concatenate(indices)
+        width = int(sizes.max())
+        if rows.size == sizes.size * width:
+            return rows.reshape(sizes.size, width), None
+        real = np.arange(width) < sizes[:, None]
+        padded = np.full(real.shape, self._pad)
+        padded[real] = rows
+        return padded, real
+
+    def _partition(self, indices, feature, threshold) -> list[np.ndarray]:
+        """``[left_0, right_0, left_1, ...]``: every split node's rows, order kept, in one pass."""
+        sizes = np.array([rows.size for rows in indices])
+        node = np.arange(sizes.size).repeat(sizes)
+        rows = np.concatenate(indices)
+        side = 2 * node + (self._columns[feature[node], self._source[rows]] > threshold[node])
+        bounds = np.bincount(side, minlength=2 * sizes.size).cumsum().tolist()
+        rows = rows[side.argsort(kind="stable")]
+        return [rows[start:stop] for start, stop in zip([0] + bounds, bounds)]
+
+
+class _ClassificationGrower(_Grower):
     """Grows classification trees in lock-step, one node per tree per step.
 
     Tree ``t`` grows on the rows ``samples[t]`` of ``X`` (a bootstrap may
     repeat rows), whose labels ``labels[t]`` it codes ``0..n_classes[t]-1``,
-    and draws from ``rngs[t]``.  All trees' rows share one global id space
-    (tree after tree), so a step's nodes index one label array and one
-    id-to-row map; ``X`` itself is not copied per tree.  A one-tree call is
-    a standalone :class:`DecisionTreeClassifier`.
+    and draws from ``rngs[t]``.  The sentinel id has an out-of-range class
+    that counts nowhere, so padding a block with it changes no score.  A
+    one-tree call is a standalone :class:`DecisionTreeClassifier`.
     """
 
     def __init__(
@@ -208,21 +298,10 @@ class _ClassificationGrower:
         n_classes: list[int],
         rngs: list[np.random.Generator],
     ) -> list[dict[str, np.ndarray]]:
-        n_rows, n_features = X.shape
         self._n_classes = max(n_classes)
-        # One row per feature plus a sentinel column whose value is +inf:
-        # it sorts after every real value.  The sentinel id ``self._pad``
-        # maps to it and has an out-of-range class that counts nowhere, so
-        # padding a block with it changes no score.
-        self._columns = np.empty((n_features, n_rows + 1))
-        self._columns[:, :n_rows] = X.T
-        self._columns[:, n_rows] = np.inf
-        self._source = np.append(np.concatenate(samples), n_rows)
+        roots = self._share_rows(X, samples)
         self._labels = np.append(np.concatenate(labels), self._n_classes)
-        self._pad = self._source.size - 1
         self._classes = np.arange(self._n_classes)
-        ends = np.cumsum([sample.size for sample in samples])
-        roots = [np.arange(end - sample.size, end) for sample, end in zip(samples, ends)]
         widths = np.asarray(n_classes, dtype=np.int64)
         if (widths == self._n_classes).all():
             widths = None  # every tree sums all the class columns
@@ -331,21 +410,6 @@ class _ClassificationGrower:
             feature[chunk] = chunk_features[np.arange(chunk.size), row]
         return feature, threshold, gain
 
-    def _padded_rows(self, indices, sizes) -> tuple[np.ndarray, np.ndarray | None]:
-        """Every node's row ids in their original order, one node per row, and the mask of real ids.
-
-        Nodes narrower than the widest are padded with the sentinel id; the
-        mask is None when no node is.
-        """
-        rows = np.concatenate(indices)
-        width = int(sizes.max())
-        if rows.size == sizes.size * width:
-            return rows.reshape(sizes.size, width), None
-        real = np.arange(width) < sizes[:, None]
-        padded = np.full(real.shape, self._pad)
-        padded[real] = rows
-        return padded, real
-
     def _search_best(self, block, rows, sizes, counts, parent, widths):
         """Exhaustive search: the best position of every feature, then the best feature."""
         nodes = np.arange(sizes.size)
@@ -405,137 +469,172 @@ class _ClassificationGrower:
         row = gains.argmax(axis=1)
         return row, thresholds[nodes, row], gains[nodes, row]
 
-    def _partition(self, indices, feature, threshold) -> list[np.ndarray]:
-        """``[left_0, right_0, left_1, ...]``: every split node's rows, order kept, in one pass."""
-        sizes = np.array([rows.size for rows in indices])
-        node = np.arange(sizes.size).repeat(sizes)
-        rows = np.concatenate(indices)
-        side = 2 * node + (self._columns[feature[node], self._source[rows]] > threshold[node])
-        bounds = np.bincount(side, minlength=2 * sizes.size).cumsum().tolist()
-        rows = rows[side.argsort(kind="stable")]
-        return [rows[start:stop] for start, stop in zip([0] + bounds, bounds)]
 
+class _RegressionGrower(_Grower):
+    """Grows regression trees that share their rows together, level by level.
 
-class _RegressionGrower:
-    """Grows one regression tree, one node at a time.
-
-    Each node's split search is one block pass over its candidate
-    features: the node's values form an ``(F, n)`` block, a stable
-    row-wise argsort orders every row, and row-wise ``cumsum`` prefix sums
-    score every split position of every feature together.
+    Tree ``t`` fits ``targets[t]`` on the rows ``rows`` of ``X`` (a boosting
+    stage's class trees, or one standalone tree).  Each step takes every
+    open node of one depth in every tree: their means, purity and variance
+    come from the same sums a node grown alone takes, and their split
+    searches are ``(nodes, features, rows)`` blocks whose stable argsort
+    orders every feature of every node and whose row-wise ``cumsum`` prefix
+    sums score every position at once.  The trees draw nothing, so growing
+    them by depth instead of depth-first changes no split; node ids are
+    renumbered to pre-order at the end.
     """
 
-    def __init__(
-        self,
-        y: np.ndarray,
-        *,
-        max_depth,
-        min_samples_split,
-        min_samples_leaf,
-        min_impurity_decrease,
-        max_features,
-        rng,
-    ):
-        self.y = y.astype(np.float64)
+    def __init__(self, *, max_depth, min_samples_split, min_samples_leaf, min_impurity_decrease):
         self.max_depth = np.inf if max_depth is None else max_depth
-        self.min_samples_split = min_samples_split
+        # The fewest rows a node needs to be searched at all.
+        self.min_split_size = max(min_samples_split, 2 * min_samples_leaf)
         self.min_samples_leaf = min_samples_leaf
         self.min_impurity_decrease = min_impurity_decrease
-        self.max_features = max_features
-        self.rng = rng
 
-    def grow(self, X: np.ndarray) -> dict[str, np.ndarray]:
-        self._columns = np.ascontiguousarray(X.T)  # one row per feature
-        nodes = _Nodes()
-        # (indices, depth, parent id, is left child); the root has no parent.
-        stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(X.shape[0]), 0, _LEAF, True)]
-        while stack:
-            indices, depth, parent, is_left = stack.pop()
-            value, impurity, pure = self._node_stats(indices)
-            node_id = nodes.add(parent, is_left, indices.size, value)
-            children = None if pure else self._split_node(indices, depth, impurity)
-            if children is not None:
-                feature, threshold, left_idx, right_idx = children
-                nodes.feature[node_id] = feature
-                nodes.threshold[node_id] = threshold
-                stack.append((right_idx, depth + 1, node_id, False))
-                stack.append((left_idx, depth + 1, node_id, True))
-        return nodes.arrays()
+    def grow(self, X: np.ndarray, rows: np.ndarray, targets: np.ndarray) -> list[dict[str, np.ndarray]]:
+        roots = self._share_rows(X, [rows] * len(targets))
+        # The sentinel id's target is never summed: sums skip padding.
+        self._y = np.append(np.asarray(targets, dtype=np.float64).ravel(), 0.0)
+        # Feature f's value of row id i is ``_flat_columns[_features[f] + _source[i]]``.
+        self._flat_columns = self._columns.ravel()
+        self._features = np.arange(X.shape[1])[:, None] * self._columns.shape[1]
+        trees = [_Nodes() for _ in roots]
+        # The open nodes of one depth: (tree, indices, parent id, is left child).
+        level = [(t, root, _LEAF, True) for t, root in enumerate(roots)]
+        depth = 0
+        # The padding and the empty side of a position divide by 0 or less.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while level:
+                level = self._step(level, depth, trees)
+                depth += 1
+        return [_preorder(tree.arrays()) for tree in trees]
 
-    def _node_stats(self, indices: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        """Leaf mean, variance and purity: numpy's own mean/var sequence, without its wrappers."""
-        y = self.y[indices]
-        n = y.size
-        mean = np.add.reduce(y) / n
-        pure = bool(np.all(y == y[0]))
-        if pure:
-            return np.array([mean]), 0.0, True
-        d = y - mean
-        return np.array([mean]), float(np.add.reduce(d * d) / n), False
+    def _step(self, level, depth, trees) -> list:
+        """Add every node of ``level`` to its tree; return the next depth's nodes."""
+        indices = [node[1] for node in level]
+        sizes = np.array([rows.size for rows in indices])
+        means = np.empty(sizes.size)
+        searched = np.zeros(sizes.size, dtype=bool)
+        impurity = np.empty(sizes.size)
+        for chunk in _size_chunks(sizes, 1):
+            means[chunk], searched[chunk], impurity[chunk] = self._node_stats(
+                [indices[c] for c in chunk], sizes[chunk], depth < self.max_depth
+            )
+        node_ids = [
+            trees[t].add(parent, is_left, size, mean)
+            for (t, _, parent, is_left), size, mean in zip(level, sizes.tolist(), means[:, None])
+        ]
+        candidates = searched.nonzero()[0]
+        if candidates.size == 0:
+            return []
+        feature, threshold, gain = self._search(
+            [indices[c] for c in candidates], sizes[candidates], impurity[candidates]
+        )
+        # A gain of -inf marks a node without a valid split.
+        split = ((gain > -np.inf) & (gain >= self.min_impurity_decrease)).nonzero()[0]
+        if split.size == 0:
+            return []
+        children = self._partition([indices[candidates[s]] for s in split], feature[split], threshold[split])
+        following = []
+        for s, left, right in zip(split, children[0::2], children[1::2]):
+            if left.size < self.min_samples_leaf or right.size < self.min_samples_leaf:
+                continue
+            j = candidates[s]
+            t, node_id = level[j][0], node_ids[j]
+            trees[t].feature[node_id] = int(feature[s])
+            trees[t].threshold[node_id] = float(threshold[s])
+            following += [(t, left, node_id, True), (t, right, node_id, False)]
+        return following
 
-    def _split_node(self, indices: np.ndarray, depth: int, impurity: float):
-        """``(feature, threshold, left, right)`` of the impure node, or None for a leaf."""
-        if (
-            depth >= self.max_depth
-            or indices.size < self.min_samples_split
-            or indices.size < 2 * self.min_samples_leaf
-        ):
-            return None
-        features = _candidate_features(self.rng, self.max_features, self._columns.shape[0])
-        block = self._columns[features[:, None], indices]
-        found = self._search_block(indices, block, impurity)
-        if found is None:
-            return None
-        row, threshold, gain = found
-        if gain < self.min_impurity_decrease:
-            return None
-        feature = int(features[row])
-        left_mask = self._columns[feature, indices] <= threshold
-        left_idx, right_idx = indices[left_mask], indices[~left_mask]
-        if left_idx.size < self.min_samples_leaf or right_idx.size < self.min_samples_leaf:
-            return None
-        return feature, threshold, left_idx, right_idx
+    def _node_stats(self, indices, sizes, may_split: bool):
+        """``(mean, searched, impurity)`` arrays: impure nodes with enough rows are searched.
 
-    def _search_block(
-        self, indices: np.ndarray, block: np.ndarray, parent_impurity: float
-    ) -> tuple[int, float, float] | None:
-        """Exhaustive search: the best position of every row, then the first best row."""
-        n = indices.size
-        rows = np.arange(block.shape[0])
-        order = np.argsort(block, axis=1, kind="stable")
-        sorted_block = block[rows[:, None], order]
-        # Position p puts the first p + 1 sorted samples on the left; it is
-        # valid between distinct values when both sides keep enough samples.
-        n_left = np.arange(1, n)
-        sizes_ok = (n_left >= self.min_samples_leaf) & (n - n_left >= self.min_samples_leaf)
-        valid = (sorted_block[:, :-1] != sorted_block[:, 1:]) & sizes_ok
-        scores = np.where(valid, self._split_scores(indices[order]), np.inf)
-        positions = np.argmin(scores, axis=1)
-        gains = parent_impurity - scores[rows, positions]  # -inf: no valid position
-        row = int(np.argmax(gains))
-        if gains[row] == -np.inf:
-            return None
-        p = int(positions[row])
-        threshold = 0.5 * (sorted_block[row, p] + sorted_block[row, p + 1])
-        return row, float(threshold), float(gains[row])
+        Only searched nodes get their impurity (the variance of their
+        targets); the rest keep NaN.
+        """
+        rows, real = self._padded_rows(indices, sizes)
+        y = self._y[rows]  # node order, as a node's mean and variance sum it
+        means = _row_sums(y, sizes) / sizes
+        impurity = np.full(sizes.size, np.nan)
+        if not may_split:
+            return means, np.zeros(sizes.size, dtype=bool), impurity
+        same = y == y[:, :1]
+        if real is not None:
+            same |= ~real
+        searched = (sizes >= self.min_split_size) & ~same.all(axis=1)
+        nodes = searched.nonzero()[0]
+        d = y[nodes] - means[nodes, None]
+        impurity[nodes] = _row_sums(d * d, sizes[nodes]) / sizes[nodes]
+        return means, searched, impurity
 
-    def _split_scores(self, sorted_indices: np.ndarray) -> np.ndarray:
-        """Size-weighted variance of both sides of every position, ``(F, n - 1)``."""
-        # Rows stay C-contiguous so each row's sum is the same pairwise
-        # summation as a 1-D ``sum``.
-        y = self.y[sorted_indices]  # (F, n)
-        n = y.shape[1]
-        y_sq = y**2
-        csum = np.cumsum(y, axis=1)[:, :-1]
-        csum_sq = np.cumsum(y_sq, axis=1)[:, :-1]
-        total, total_sq = y.sum(axis=1)[:, None], y_sq.sum(axis=1)[:, None]
-        n_left = np.arange(1, n, dtype=np.float64)
+    def _search(self, indices, sizes, impurity):
+        """Best split of every candidate node: ``(feature, threshold, gain)`` arrays."""
+        feature = np.empty(sizes.size, dtype=np.int64)
+        threshold = np.empty(sizes.size)
+        gain = np.empty(sizes.size)
+        for chunk in _size_chunks(sizes, self._features.shape[0]):
+            rows, _ = self._padded_rows([indices[c] for c in chunk], sizes[chunk])
+            feature[chunk], threshold[chunk], gain[chunk] = self._search_block(rows, sizes[chunk], impurity[chunk])
+        return feature, threshold, gain
+
+    def _search_block(self, rows, sizes, parent):
+        """Exhaustive search of one chunk: the best position of every feature, then the first best feature."""
+        m, width = rows.shape
+        n_features = self._features.size
+        # ``(nodes, features, rows)`` blocks are gathered with flat takes.
+        block = self._flat_columns.take(self._features + self._source[rows][:, None, :])
+        order = block.argsort(axis=2, kind="stable")
+        sorted_block = block.take(order + (np.arange(m * n_features) * width).reshape(m, n_features, 1))
+        # Every node's targets in each feature's sorted order, with their
+        # squares stacked behind them, so one sum per size takes both totals.
+        stacked = np.empty((m, 2, n_features, width))
+        y = self._y[rows].take(order + (np.arange(m) * width)[:, None, None], out=stacked[:, 0])
+        y_sq = np.square(y, out=stacked[:, 1])
+        totals = _row_sums(stacked.reshape(m, 2 * n_features, width), sizes)[..., None]
+        total, total_sq = totals[:, :n_features], totals[:, n_features:]
+        # Position p puts the first p + 1 sorted samples on the left; the
+        # prefix sums run sequentially, so padding never reaches a real one.
+        csum = np.cumsum(y, axis=2)[..., :-1]
+        csum_sq = np.cumsum(y_sq, axis=2)[..., :-1]
+        n = sizes.astype(np.float64)[:, None, None]
+        n_left = np.arange(1, width, dtype=np.float64)
         n_right = n - n_left
-        left_var = csum_sq / n_left - (csum / n_left) ** 2
-        right_var = (total_sq - csum_sq) / n_right - ((total - csum) / n_right) ** 2
-        left_var = np.maximum(left_var, 0.0)
-        right_var = np.maximum(right_var, 0.0)
-        return (n_left / n) * left_var + (n_right / n) * right_var
+        left_var = np.maximum(csum_sq / n_left - (csum / n_left) ** 2, 0.0)
+        right_var = np.maximum((total_sq - csum_sq) / n_right - ((total - csum) / n_right) ** 2, 0.0)
+        scores = (n_left / n) * left_var + (n_right / n) * right_var
+        # A position is valid between distinct values when both sides keep
+        # enough samples; padded positions never do.
+        valid = (
+            (sorted_block[..., :-1] != sorted_block[..., 1:])
+            & (n_left >= self.min_samples_leaf)
+            & (n_right >= self.min_samples_leaf)
+        )
+        scores = np.where(valid, scores, np.inf)
+        positions = scores.argmin(axis=2)
+        gains = parent[:, None] - scores.min(axis=2)
+        row = gains.argmax(axis=1)  # -inf: no valid position
+        nodes = np.arange(m)
+        p = positions[nodes, row]
+        threshold = 0.5 * (sorted_block[nodes, row, p] + sorted_block[nodes, row, p + 1])
+        return row, threshold, gains[nodes, row]
+
+
+def _preorder(tree: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``tree``'s arrays with its node ids renumbered to pre-order: a node, its left subtree, its right."""
+    left, right = tree["children_left"].tolist(), tree["children_right"].tolist()
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if left[node] != _LEAF:
+            stack += (right[node], left[node])
+    order = np.array(order)
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    out = {name: array[order] for name, array in tree.items()}
+    for name in ("children_left", "children_right"):
+        out[name] = np.where(out[name] == _LEAF, _LEAF, new_id[out[name]])
+    return out
 
 
 def _apply_tree(tree: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
@@ -654,32 +753,36 @@ class DecisionTreeRegressor(BaseEstimator):
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
         min_impurity_decrease: float = 0.0,
-        max_features=None,
-        random_state: RandomState = None,
     ):
         _check_min_samples(min_samples_split, min_samples_leaf)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.min_impurity_decrease = min_impurity_decrease
-        self.max_features = max_features
-        self.random_state = random_state
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
         X, y = check_X_y(X, y)
-        y = y.astype(np.float64)
-        grower = _RegressionGrower(
-            y,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            min_impurity_decrease=self.min_impurity_decrease,
-            max_features=self.max_features,
-            rng=check_random_state(self.random_state),
-        )
-        self.tree_ = grower.grow(X)
-        self.n_features_ = X.shape[1]
+        # A standalone tree is the one-tree case of growing trees together.
+        self._fit_members([self], X, np.arange(X.shape[0]), y[None, :])
         return self
+
+    @staticmethod
+    def _fit_members(members, X, rows, targets) -> None:
+        """Grow ``members`` together and set their fitted attributes.
+
+        Member ``t`` fits ``targets[t]`` (one target per entry of ``rows``)
+        on the rows ``rows`` of ``X``.  Every member has the first one's
+        growth settings.
+        """
+        first = members[0]
+        grower = _RegressionGrower(
+            max_depth=first.max_depth,
+            min_samples_split=first.min_samples_split,
+            min_samples_leaf=first.min_samples_leaf,
+            min_impurity_decrease=first.min_impurity_decrease,
+        )
+        for member, tree in zip(members, grower.grow(X, rows, targets)):
+            member.tree_, member.n_features_ = tree, X.shape[1]
 
     def predict(self, X) -> np.ndarray:
         check_is_fitted(self, "tree_")

@@ -11,7 +11,8 @@ from repro.exceptions import NotFittedError, ValidationError
 from repro.ml import tree as tree_module
 from repro.ml.forest import ExtraTreesClassifier, RandomForestClassifier, _bootstrap_sample
 from repro.ml.metrics import accuracy
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _class_sum
+from repro.ml.boosting import GradientBoostingClassifier
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _class_sum, _row_sums
 from repro.rng import spawn
 
 
@@ -122,14 +123,14 @@ class TestRegressor:
     def test_fits_piecewise_constant(self):
         X = np.linspace(0, 1, 100).reshape(-1, 1)
         y = (X.ravel() > 0.5).astype(float) * 10.0
-        tree = DecisionTreeRegressor(max_depth=2, random_state=0).fit(X, y)
+        tree = DecisionTreeRegressor(max_depth=2).fit(X, y)
         prediction = tree.predict(X)
         assert np.abs(prediction - y).max() < 1e-9
 
     def test_reduces_to_mean_on_constant_x(self):
         X = np.ones((10, 1))
         y = np.arange(10.0)
-        tree = DecisionTreeRegressor(random_state=0).fit(X, y)
+        tree = DecisionTreeRegressor().fit(X, y)
         assert tree.predict([[1.0]])[0] == pytest.approx(4.5)
 
     def test_mse_improves_with_depth(self):
@@ -138,7 +139,7 @@ class TestRegressor:
         y = np.sin(3 * X.ravel())
         errors = []
         for depth in (1, 3, 6):
-            tree = DecisionTreeRegressor(max_depth=depth, random_state=0).fit(X, y)
+            tree = DecisionTreeRegressor(max_depth=depth).fit(X, y)
             errors.append(float(np.mean((tree.predict(X) - y) ** 2)))
         assert errors[0] > errors[1] > errors[2]
 
@@ -312,3 +313,175 @@ def test_steps_split_into_chunks_grow_the_same_trees(cls, monkeypatch):
     for a, b in zip(whole.estimators_, chunked.estimators_, strict=True):
         for name in TREE_ARRAYS:
             assert a.tree_[name].tobytes() == b.tree_[name].tobytes(), name
+
+
+def _grow_per_node(X, y, max_depth, min_samples_split, min_samples_leaf, min_impurity_decrease):
+    """The depth-first, one-node-at-a-time regression grower: the oracle of level-wise growth."""
+    columns, y = np.ascontiguousarray(X.T), y.astype(np.float64)
+    max_depth = np.inf if max_depth is None else max_depth
+    arrays = {name: [] for name in TREE_ARRAYS}
+    stack = [(np.arange(X.shape[0]), 0, -1, True)]
+    while stack:
+        indices, depth, parent, is_left = stack.pop()
+        node, values = len(arrays["value"]), y[indices]
+        if parent >= 0:
+            arrays["children_left" if is_left else "children_right"][parent] = node
+        for name, item in zip(TREE_ARRAYS, (-1, -1, -1, np.nan, indices.size)):
+            arrays[name].append(item)
+        mean = np.add.reduce(values) / indices.size
+        arrays["value"].append(np.array([mean]))
+        if np.all(values == values[0]) or depth >= max_depth:
+            continue
+        if indices.size < min_samples_split or indices.size < 2 * min_samples_leaf:
+            continue
+        d = values - mean
+        impurity = float(np.add.reduce(d * d) / indices.size)
+        block = columns[:, indices]
+        order = np.argsort(block, axis=1, kind="stable")
+        sorted_block = np.take_along_axis(block, order, axis=1)
+        ys = y[indices[order]]
+        n, n_left = indices.size, np.arange(1, indices.size, dtype=np.float64)
+        n_right = n - n_left
+        csum, csum_sq = np.cumsum(ys, axis=1)[:, :-1], np.cumsum(ys**2, axis=1)[:, :-1]
+        total, total_sq = ys.sum(axis=1)[:, None], (ys**2).sum(axis=1)[:, None]
+        left_var = np.maximum(csum_sq / n_left - (csum / n_left) ** 2, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            right_var = np.maximum((total_sq - csum_sq) / n_right - ((total - csum) / n_right) ** 2, 0.0)
+        scores = (n_left / n) * left_var + (n_right / n) * right_var
+        sides_ok = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+        valid = (sorted_block[:, :-1] != sorted_block[:, 1:]) & sides_ok
+        scores = np.where(valid, scores, np.inf)
+        positions = np.argmin(scores, axis=1)
+        gains = impurity - scores[np.arange(len(scores)), positions]
+        row = int(np.argmax(gains))
+        if gains[row] == -np.inf or gains[row] < min_impurity_decrease:
+            continue
+        p = positions[row]
+        threshold = float(0.5 * (sorted_block[row, p] + sorted_block[row, p + 1]))
+        left = columns[row, indices] <= threshold
+        if left.sum() < min_samples_leaf or (~left).sum() < min_samples_leaf:
+            continue
+        arrays["feature"][node], arrays["threshold"][node] = row, threshold
+        stack += [(indices[~left], depth + 1, node, False), (indices[left], depth + 1, node, True)]
+    dtypes = dict(children_left=np.int64, children_right=np.int64, feature=np.int64, n_samples=np.int64)
+    return {
+        name: np.vstack(arrays[name]) if name == "value" else np.array(arrays[name], dtype=dtypes.get(name, np.float64))
+        for name in TREE_ARRAYS
+    }
+
+
+def _regression_data(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous, tied and constant columns; targets that tie half the time."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack(
+        [
+            rng.normal(size=n),
+            rng.normal(size=n).round(1),
+            rng.integers(0, 3, size=n).astype(np.float64),
+            np.full(n, 0.5),
+        ]
+    )
+    y = X[:, 0] - X[:, 2] + 0.3 * rng.normal(size=n)
+    return X, (y.round(0) if seed % 2 else y)
+
+
+def _assert_same_tree(got, want):
+    for name in TREE_ARRAYS:
+        assert got[name].dtype == want[name].dtype and got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+REGRESSION_SETTINGS = dict(
+    max_depth=st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+    min_samples_split=st.sampled_from([2, 3, 7]),
+    min_samples_leaf=st.integers(1, 5),
+    min_impurity_decrease=st.sampled_from([0.0, 1e-3, 0.05]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 300), **REGRESSION_SETTINGS)
+@example(seed=1, n=300, max_depth=None, min_samples_split=2, min_samples_leaf=1, min_impurity_decrease=0.0)
+@example(seed=2, n=129, max_depth=None, min_samples_split=2, min_samples_leaf=1, min_impurity_decrease=0.0)
+@example(seed=4, n=9, max_depth=3, min_samples_split=2, min_samples_leaf=1, min_impurity_decrease=0.0)
+def test_level_wise_regression_tree_equals_per_node_growth_property(
+    seed, n, max_depth, min_samples_split, min_samples_leaf, min_impurity_decrease
+):
+    """A lone regression tree grown by level is bitwise the depth-first per-node tree."""
+    X, y = _regression_data(seed, n)
+    params = dict(
+        max_depth=max_depth,
+        min_samples_split=min_samples_split,
+        min_samples_leaf=min_samples_leaf,
+        min_impurity_decrease=min_impurity_decrease,
+    )
+    _assert_same_tree(DecisionTreeRegressor(**params).fit(X, y).tree_, _grow_per_node(X, y, **params))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 300), k=st.integers(1, 5), **REGRESSION_SETTINGS)
+@example(seed=3, n=300, k=4, max_depth=5, min_samples_split=2, min_samples_leaf=1, min_impurity_decrease=0.0)
+def test_trees_grown_together_equal_lone_fits_property(
+    seed, n, k, max_depth, min_samples_split, min_samples_leaf, min_impurity_decrease
+):
+    """One ``_fit_members`` call over K targets grows what K lone fits on the same rows grow."""
+    X, _ = _regression_data(seed, n)
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+    targets = rng.normal(size=(k, rows.size)).round(int(rng.integers(0, 3)))
+    params = dict(
+        max_depth=max_depth,
+        min_samples_split=min_samples_split,
+        min_samples_leaf=min_samples_leaf,
+        min_impurity_decrease=min_impurity_decrease,
+    )
+    members = [DecisionTreeRegressor(**params) for _ in range(k)]
+    DecisionTreeRegressor._fit_members(members, X, rows, targets)
+    for member, target in zip(members, targets, strict=True):
+        assert member.n_features_ == X.shape[1]
+        _assert_same_tree(member.tree_, DecisionTreeRegressor(**params).fit(X[rows], target).tree_)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+    inner=st.sampled_from([(), (1,), (5,)]),
+)
+@example(seed=0, sizes=[7, 8, 9, 128, 129, 300], inner=(3,))
+@example(seed=1, sizes=[200, 200], inner=())
+def test_row_sums_equal_one_dimensional_sums_property(seed, sizes, inner):
+    """Each row sums bitwise as a 1-D ``np.add.reduce`` of its own entries; padding is never summed."""
+    rng = np.random.default_rng(seed)
+    sizes = np.array(sizes)
+    width = int(sizes.max())
+    shape = (sizes.size, *inner, width)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+    values[rng.random(values.shape) < 0.1] = -0.0
+    real = np.arange(width) < sizes.reshape(-1, *[1] * len(inner), 1)
+    values = np.where(real, values, np.nan)  # padding
+    got = _row_sums(values, sizes)
+    assert got.shape == values.shape[:-1]
+    for node, size in enumerate(sizes):
+        for index in np.ndindex(*inner):
+            want = np.add.reduce(values[node][index][:size].copy())
+            assert got[node][index].tobytes() == want.tobytes()
+
+
+def test_boosting_stages_searched_in_small_chunks_grow_the_same_trees(monkeypatch):
+    """A level cut into many chunks, by either budget, grows the trees one block does."""
+    X, y = _lockstep_data(3, 60, 4)
+
+    def stage_trees():
+        model = GradientBoostingClassifier(n_estimators=3, max_depth=4, subsample=0.8, random_state=3).fit(X, y)
+        return [tree.tree_ for stage in model.stages_ for tree in stage]
+
+    whole = stage_trees()
+    monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", 100)
+    small_blocks = stage_trees()
+    monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", 1 << 18)
+    monkeypatch.setattr(tree_module, "_PAD_ELEMENTS", 0)
+    no_padding = stage_trees()
+    for a, b, c in zip(whole, small_blocks, no_padding, strict=True):
+        _assert_same_tree(b, a)
+        _assert_same_tree(c, a)

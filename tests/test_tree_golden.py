@@ -143,12 +143,9 @@ def _fit_classifier(n_classes, criterion, max_features, min_samples_leaf, splitt
     return [model.fit(X, y).tree_]
 
 
-def _fit_regressor(max_depth, min_samples_leaf, max_features):
+def _fit_regressor(max_depth, min_samples_leaf):
     X, y = _regression_data()
-    model = DecisionTreeRegressor(
-        max_depth=max_depth, min_samples_leaf=min_samples_leaf, max_features=max_features, random_state=3
-    )
-    return [model.fit(X, y).tree_]
+    return [DecisionTreeRegressor(max_depth=max_depth, min_samples_leaf=min_samples_leaf).fit(X, y).tree_]
 
 
 def _fit_sized_regressor(n, max_depth, min_samples_leaf, tied=False):
@@ -203,9 +200,9 @@ def _cases() -> dict:
     cases = {}
     for seed, params in enumerate(CLASSIFIER_GRID):
         cases[_classifier_name(*params)] = lambda params=params, seed=seed: _fit_classifier(*params, seed)
-    for max_depth, min_samples_leaf, max_features in ((None, 1, None), (4, 1, None), (None, 5, None), (None, 1, "sqrt")):
-        name = f"reg_depth{max_depth}_leaf{min_samples_leaf}_mf{max_features}"
-        cases[name] = lambda args=(max_depth, min_samples_leaf, max_features): _fit_regressor(*args)
+    for max_depth, min_samples_leaf in ((None, 1), (4, 1), (None, 5)):
+        name = f"reg_depth{max_depth}_leaf{min_samples_leaf}_mfNone"
+        cases[name] = lambda args=(max_depth, min_samples_leaf): _fit_regressor(*args)
     for n, max_depth, min_samples_leaf in REGRESSION_GRID:
         name = f"reg_n{n}_depth{max_depth}_leaf{min_samples_leaf}"
         cases[name] = lambda args=(n, max_depth, min_samples_leaf): _fit_sized_regressor(*args)
