@@ -191,7 +191,7 @@ def _size_chunks(sizes: np.ndarray, elements_per_row: int) -> list[np.ndarray]:
 
 
 def _row_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Sum the first ``sizes[node]`` entries of the last axis of ``values``, nodes on axis 0.
+    """Sum the first ``sizes[node]`` entries of the last axis of ``values``, nodes on the axis before it.
 
     A node narrower than the block is padded; summing the padding too would
     regroup numpy's pairwise sum and move a bit.  So each distinct size is
@@ -205,9 +205,8 @@ def _row_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     for node, size in enumerate(sizes.tolist()):
         groups.setdefault(size, []).append(node)
     for size, nodes in groups.items():
-        # A list index copies the rows; one node's rows are copied explicitly.
-        rows = values[nodes, ..., :size] if len(nodes) > 1 else values[nodes[0], ..., :size].copy()
-        out[nodes] = np.add.reduce(rows, axis=-1)
+        index = nodes if len(nodes) > 1 else nodes[0]
+        out[..., index] = np.add.reduce(np.ascontiguousarray(values[..., index, :size]), axis=-1)
     return out
 
 
@@ -477,7 +476,7 @@ class _RegressionGrower(_Grower):
     stage's class trees, or one standalone tree).  Each step takes every
     open node of one depth in every tree: their means, purity and variance
     come from the same sums a node grown alone takes, and their split
-    searches are ``(nodes, features, rows)`` blocks whose stable argsort
+    searches are ``(features, nodes, rows)`` blocks whose stable argsort
     orders every feature of every node and whose row-wise ``cumsum`` prefix
     sums score every position at once.  The trees draw nothing, so growing
     them by depth instead of depth-first changes no split; node ids are
@@ -495,9 +494,6 @@ class _RegressionGrower(_Grower):
         roots = self._share_rows(X, [rows] * len(targets))
         # The sentinel id's target is never summed: sums skip padding.
         self._y = np.append(np.asarray(targets, dtype=np.float64).ravel(), 0.0)
-        # Feature f's value of row id i is ``_flat_columns[_features[f] + _source[i]]``.
-        self._flat_columns = self._columns.ravel()
-        self._features = np.arange(X.shape[1])[:, None] * self._columns.shape[1]
         trees = [_Nodes() for _ in roots]
         # The open nodes of one depth: (tree, indices, parent id, is left child).
         level = [(t, root, _LEAF, True) for t, root in enumerate(roots)]
@@ -572,31 +568,31 @@ class _RegressionGrower(_Grower):
         feature = np.empty(sizes.size, dtype=np.int64)
         threshold = np.empty(sizes.size)
         gain = np.empty(sizes.size)
-        for chunk in _size_chunks(sizes, self._features.shape[0]):
+        for chunk in _size_chunks(sizes, self._columns.shape[0]):
             rows, _ = self._padded_rows([indices[c] for c in chunk], sizes[chunk])
             feature[chunk], threshold[chunk], gain[chunk] = self._search_block(rows, sizes[chunk], impurity[chunk])
         return feature, threshold, gain
 
     def _search_block(self, rows, sizes, parent):
         """Exhaustive search of one chunk: the best position of every feature, then the first best feature."""
+        n_features = self._columns.shape[0]
         m, width = rows.shape
-        n_features = self._features.size
-        # ``(nodes, features, rows)`` blocks are gathered with flat takes.
-        block = self._flat_columns.take(self._features + self._source[rows][:, None, :])
+        # Blocks are ``(features, nodes, rows)``: one take gathers the values.
+        block = self._columns.take(self._source[rows], axis=1)
         order = block.argsort(axis=2, kind="stable")
-        sorted_block = block.take(order + (np.arange(m * n_features) * width).reshape(m, n_features, 1))
+        sorted_block = block.take(order + (np.arange(n_features * m) * width).reshape(n_features, m, 1))
         # Every node's targets in each feature's sorted order, with their
         # squares stacked behind them, so one sum per size takes both totals.
-        stacked = np.empty((m, 2, n_features, width))
-        y = self._y[rows].take(order + (np.arange(m) * width)[:, None, None], out=stacked[:, 0])
-        y_sq = np.square(y, out=stacked[:, 1])
-        totals = _row_sums(stacked.reshape(m, 2 * n_features, width), sizes)[..., None]
-        total, total_sq = totals[:, :n_features], totals[:, n_features:]
+        stacked = np.empty((2, n_features, m, width))
+        y = self._y[rows].take(order + (np.arange(m) * width)[:, None], out=stacked[0])
+        y_sq = np.square(y, out=stacked[1])
+        totals = _row_sums(stacked.reshape(2 * n_features, m, width), sizes)[..., None]
+        total, total_sq = totals[:n_features], totals[n_features:]
         # Position p puts the first p + 1 sorted samples on the left; the
         # prefix sums run sequentially, so padding never reaches a real one.
         csum = np.cumsum(y, axis=2)[..., :-1]
         csum_sq = np.cumsum(y_sq, axis=2)[..., :-1]
-        n = sizes.astype(np.float64)[:, None, None]
+        n = sizes.astype(np.float64)[:, None]
         n_left = np.arange(1, width, dtype=np.float64)
         n_right = n - n_left
         left_var = np.maximum(csum_sq / n_left - (csum / n_left) ** 2, 0.0)
@@ -611,12 +607,12 @@ class _RegressionGrower(_Grower):
         )
         scores = np.where(valid, scores, np.inf)
         positions = scores.argmin(axis=2)
-        gains = parent[:, None] - scores.min(axis=2)
-        row = gains.argmax(axis=1)  # -inf: no valid position
+        gains = parent - scores.min(axis=2)
+        row = gains.argmax(axis=0)  # -inf: no valid position
         nodes = np.arange(m)
-        p = positions[nodes, row]
-        threshold = 0.5 * (sorted_block[nodes, row, p] + sorted_block[nodes, row, p + 1])
-        return row, threshold, gains[nodes, row]
+        p = positions[row, nodes]
+        threshold = 0.5 * (sorted_block[row, nodes, p] + sorted_block[row, nodes, p + 1])
+        return row, threshold, gains[row, nodes]
 
 
 def _preorder(tree: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

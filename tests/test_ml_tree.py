@@ -455,17 +455,16 @@ def test_row_sums_equal_one_dimensional_sums_property(seed, sizes, inner):
     rng = np.random.default_rng(seed)
     sizes = np.array(sizes)
     width = int(sizes.max())
-    shape = (sizes.size, *inner, width)
+    shape = (*inner, sizes.size, width)
     values = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
-    values[rng.random(values.shape) < 0.1] = -0.0
-    real = np.arange(width) < sizes.reshape(-1, *[1] * len(inner), 1)
-    values = np.where(real, values, np.nan)  # padding
+    values[rng.random(shape) < 0.1] = -0.0
+    values = np.where(np.arange(width) < sizes[:, None], values, np.nan)  # padding
     got = _row_sums(values, sizes)
     assert got.shape == values.shape[:-1]
-    for node, size in enumerate(sizes):
-        for index in np.ndindex(*inner):
-            want = np.add.reduce(values[node][index][:size].copy())
-            assert got[node][index].tobytes() == want.tobytes()
+    for index in np.ndindex(*inner):
+        for node, size in enumerate(sizes):
+            want = np.add.reduce(values[index][node][:size].copy())
+            assert got[index][node].tobytes() == want.tobytes()
 
 
 def test_boosting_stages_searched_in_small_chunks_grow_the_same_trees(monkeypatch):
