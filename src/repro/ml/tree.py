@@ -123,7 +123,7 @@ def _class_sum(terms: np.ndarray, widths: np.ndarray | None) -> np.ndarray:
 
 
 class _Nodes:
-    """One tree's node arrays, appended in pre-order as its nodes are popped."""
+    """One tree's node arrays, appended as its nodes are grown (pre-order, or level order for ``_preorder``)."""
 
     __slots__ = ("left", "right", "feature", "threshold", "n_samples", "value")
 
@@ -608,11 +608,11 @@ class _RegressionGrower(_Grower):
         scores = np.where(valid, scores, np.inf)
         positions = scores.argmin(axis=2)
         gains = parent - scores.min(axis=2)
-        row = gains.argmax(axis=0)  # -inf: no valid position
+        feature = gains.argmax(axis=0)  # -inf: no valid position
         nodes = np.arange(m)
-        p = positions[row, nodes]
-        threshold = 0.5 * (sorted_block[row, nodes, p] + sorted_block[row, nodes, p + 1])
-        return row, threshold, gains[row, nodes]
+        p = positions[feature, nodes]
+        threshold = 0.5 * (sorted_block[feature, nodes, p] + sorted_block[feature, nodes, p + 1])
+        return feature, threshold, gains[feature, nodes]
 
 
 def _preorder(tree: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -345,8 +345,7 @@ def _grow_per_node(X, y, max_depth, min_samples_split, min_samples_leaf, min_imp
         csum, csum_sq = np.cumsum(ys, axis=1)[:, :-1], np.cumsum(ys**2, axis=1)[:, :-1]
         total, total_sq = ys.sum(axis=1)[:, None], (ys**2).sum(axis=1)[:, None]
         left_var = np.maximum(csum_sq / n_left - (csum / n_left) ** 2, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            right_var = np.maximum((total_sq - csum_sq) / n_right - ((total - csum) / n_right) ** 2, 0.0)
+        right_var = np.maximum((total_sq - csum_sq) / n_right - ((total - csum) / n_right) ** 2, 0.0)
         scores = (n_left / n) * left_var + (n_right / n) * right_var
         sides_ok = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
         valid = (sorted_block[:, :-1] != sorted_block[:, 1:]) & sides_ok

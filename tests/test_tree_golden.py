@@ -143,12 +143,7 @@ def _fit_classifier(n_classes, criterion, max_features, min_samples_leaf, splitt
     return [model.fit(X, y).tree_]
 
 
-def _fit_regressor(max_depth, min_samples_leaf):
-    X, y = _regression_data()
-    return [DecisionTreeRegressor(max_depth=max_depth, min_samples_leaf=min_samples_leaf).fit(X, y).tree_]
-
-
-def _fit_sized_regressor(n, max_depth, min_samples_leaf, tied=False):
+def _fit_regressor(n, max_depth, min_samples_leaf, tied=False):
     X, y = _tied_regression_data(n) if tied else _regression_data(n=n)
     model = DecisionTreeRegressor(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     return [model.fit(X, y).tree_]
@@ -202,12 +197,12 @@ def _cases() -> dict:
         cases[_classifier_name(*params)] = lambda params=params, seed=seed: _fit_classifier(*params, seed)
     for max_depth, min_samples_leaf in ((None, 1), (4, 1), (None, 5)):
         name = f"reg_depth{max_depth}_leaf{min_samples_leaf}_mfNone"
-        cases[name] = lambda args=(max_depth, min_samples_leaf): _fit_regressor(*args)
+        cases[name] = lambda args=(max_depth, min_samples_leaf): _fit_regressor(80, *args)
     for n, max_depth, min_samples_leaf in REGRESSION_GRID:
         name = f"reg_n{n}_depth{max_depth}_leaf{min_samples_leaf}"
-        cases[name] = lambda args=(n, max_depth, min_samples_leaf): _fit_sized_regressor(*args)
+        cases[name] = lambda args=(n, max_depth, min_samples_leaf): _fit_regressor(*args)
     for n in (7, 9, 129, 300):
-        cases[f"reg_n{n}_ytied"] = lambda n=n: _fit_sized_regressor(n, None, 1, tied=True)
+        cases[f"reg_n{n}_ytied"] = lambda n=n: _fit_regressor(n, None, 1, tied=True)
     for seed, params in enumerate(FOREST_GRID):
         cases[_forest_name(*params)] = lambda params=params, seed=seed: _fit_forest_grid(*params, seed)
     cases["random_forest_rare_class"] = lambda: _fit_forest(RandomForestClassifier)
