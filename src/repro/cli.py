@@ -13,9 +13,6 @@ table or figure without touching Python:
 - ``cache``    — inspect/clear/prune the artifact cache;
 - ``registry`` — inspect/promote/rollback/gc served model versions;
 - ``serve``    — serve a registered model over the JSON HTTP API;
-- ``loadtest`` — replay a seeded workload shape (open/closed loop,
-  retry storm, flash crowd, slow client, connection churn) against the
-  in-process service or the threaded HTTP server and print the LoadReport;
 - ``loop``     — run the online retraining-loop demo, or report loop
   status (promotion decisions, labeling journals) from a registry;
 - ``store``    — serve a cache directory as a content-addressed artifact
@@ -414,96 +411,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    import json
-    import tempfile
-
-    from .loadgen import (
-        HttpTarget,
-        InProcessTarget,
-        check_accounting,
-        closed_loop,
-        connection_churn,
-        flash_crowd,
-        open_loop,
-        retry_storm,
-        run_workload,
-        slow_client,
-    )
-    from .serve import ServeConfig, ServeService, serve_http
-
-    config = ServeConfig(
-        max_batch=args.max_batch,
-        queue_bound=args.queue_bound,
-        request_timeout=args.request_timeout,
-    )
-    shape_kwargs = {"rows_per_request": args.rows, "clients": args.clients}
-    if args.shape == "open":
-        shape = open_loop(args.requests, args.rate, **shape_kwargs)
-    elif args.shape == "closed":
-        shape = closed_loop(args.requests, args.clients, rows_per_request=args.rows)
-    elif args.shape == "retry-storm":
-        shape = retry_storm(args.requests, args.rate, **shape_kwargs)
-    elif args.shape == "flash-crowd":
-        shape = flash_crowd(args.requests, args.rate, args.rate * 10, **shape_kwargs)
-    elif args.shape == "slow-client":
-        shape = slow_client(args.requests, args.rate, **shape_kwargs)
-    else:
-        shape = connection_churn(args.requests, args.rate, **shape_kwargs)
-
-    if args.name is not None:
-        service = ServeService.from_registry(args.name, directory=args.dir, config=config)
-        X = _loadtest_rows(service, args.seed)
-    else:
-        # Demo mode: fit a small model on generated Scream traffic.
-        from .automl import AutoMLClassifier
-        from .datasets import generate_scream_dataset
-        from .serve import ModelRegistry
-
-        print("no model name given: fitting a demo model on Scream data", file=sys.stderr)
-        data = generate_scream_dataset(160, random_state=args.seed)
-        automl = AutoMLClassifier(n_iterations=6, ensemble_size=3, random_state=7).fit(data.X, data.y)
-        tmpdir = tempfile.mkdtemp(prefix="repro-loadtest-")
-        registry = ModelRegistry(tmpdir)
-        registry.register("demo", automl, data.X, data.domains)
-        service = ServeService.from_registry("demo", directory=tmpdir, config=config)
-        X = data.X
-
-    server = None
-    try:
-        if args.transport == "inproc":
-            target = InProcessTarget(service)
-        else:
-            server = serve_http(service, host="127.0.0.1", port=0)
-            target = HttpTarget(server.url)
-        report = run_workload(target, X, shape, seed=args.seed)
-    finally:
-        if server is not None:
-            server.close()  # also closes the service
-        else:
-            service.close()
-
-    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    check_accounting(report, allow_failed=shape.abort_fraction > 0)
-    print(
-        f"accounting identity holds: offered={report.offered} == completed={report.completed} "
-        f"+ shed={report.shed} + timed_out={report.timed_out} + failed={report.failed}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _loadtest_rows(service, seed: int):
-    """Sample request rows uniformly from the served model's feature domains."""
-    import numpy as np
-
-    from .rng import check_random_state
-
-    rng = check_random_state(seed)
-    columns = [rng.uniform(domain.low, domain.high, size=256) for domain in service.bundle.domains]
-    return np.column_stack(columns)
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .devtools.cli import run_lint
 
@@ -595,33 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-bound", type=int, default=256, help="pending requests before shedding")
     serve.add_argument("--request-timeout", type=float, default=10.0, help="per-request reply timeout (seconds)")
     serve.set_defaults(handler=_cmd_serve)
-
-    loadtest = subparsers.add_parser(
-        "loadtest", help="replay a seeded workload shape against a serving transport"
-    )
-    loadtest.add_argument("name", nargs="?", default=None, help="registered model name (default: fit a demo model)")
-    loadtest.add_argument("--dir", type=Path, default=None, help="registry directory override")
-    loadtest.add_argument(
-        "--transport",
-        choices=("inproc", "threaded"),
-        default="inproc",
-        help="drive the service directly, or over real sockets via the threaded HTTP server",
-    )
-    loadtest.add_argument(
-        "--shape",
-        choices=("open", "closed", "retry-storm", "flash-crowd", "slow-client", "churn"),
-        default="open",
-        help="workload shape (see repro.loadgen.workloads)",
-    )
-    loadtest.add_argument("--requests", type=int, default=200, help="total (open) or per-client (closed) requests")
-    loadtest.add_argument("--rate", type=float, default=200.0, help="open-loop arrival rate (req/s)")
-    loadtest.add_argument("--clients", type=int, default=4, help="driver worker threads / closed-loop population")
-    loadtest.add_argument("--rows", type=int, default=1, help="rows per request")
-    loadtest.add_argument("--seed", type=int, default=0, help="workload seed (schedule, rows, aborts)")
-    loadtest.add_argument("--max-batch", type=int, default=32, help="largest micro-batch (rows)")
-    loadtest.add_argument("--queue-bound", type=int, default=256, help="pending requests before shedding")
-    loadtest.add_argument("--request-timeout", type=float, default=5.0, help="per-request reply timeout (seconds)")
-    loadtest.set_defaults(handler=_cmd_loadtest)
 
     emulate = subparsers.add_parser("emulate", help="run one scenario through every protocol")
     emulate.add_argument("--bandwidth", type=float, default=20.0, help="bottleneck Mbps")

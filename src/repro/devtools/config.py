@@ -52,7 +52,7 @@ DEFAULT_LAYERS: dict[str, list[str] | str] = {
     "store": ["exceptions", "runtime", "serve"],
     "active": ["core", "featurespace", "ml", "rng", "exceptions"],
     "loop": ["active", "automl", "core", "featurespace", "ml", "rng", "exceptions", "runtime", "serve"],
-    "loadgen": ["exceptions", "rng", "runtime", "serve"],
+    "loadgen": ["exceptions"],
     "datasets": ["core", "featurespace", "ml", "netsim", "rng", "exceptions"],
     "domain": ["automl", "core", "featurespace", "ml", "rng", "exceptions"],
     "devtools": [],

@@ -57,10 +57,6 @@ class RequestTimeoutError(ServeError):
     """Raised when a request's reply did not arrive within its timeout."""
 
 
-class LoadTestError(ReproError):
-    """Raised when a load-test invariant (accounting, shed rate, p99) fails."""
-
-
 class StoreError(ReproError):
     """Base class for artifact-store failures (:mod:`repro.store`)."""
 

@@ -135,6 +135,10 @@ class ThreadedHTTPServer(ThreadingHTTPServer):
     """A :class:`ThreadingHTTPServer` with daemon handler threads."""
 
     daemon_threads = True
+    # The stdlib's listen backlog of 5 drops the SYN of a sixth client
+    # that connects before the accept loop catches up; that client then
+    # waits a 1 s SYN retransmit.
+    request_queue_size = 128
 
     @property
     def url(self) -> str:

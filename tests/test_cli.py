@@ -50,7 +50,7 @@ class TestParser:
             _runtime_from_args(args)
 
 
-    @pytest.mark.parametrize("command", ["serve", "loadtest"])
+    @pytest.mark.parametrize("command", ["serve"])
     def test_batcher_has_no_flush_delay_flag(self, command, capsys):
         build_parser().parse_args([command, "scream"])
         with pytest.raises(SystemExit):
@@ -77,53 +77,6 @@ class TestExecution:
     def test_invalid_engine_rejected(self):
         with pytest.raises(SystemExit):
             main(["emulate", "--engine", "carrier-pigeon"])
-
-
-class TestLoadtest:
-    def test_parser_defaults_and_choices(self):
-        args = build_parser().parse_args(["loadtest"])
-        assert args.name is None
-        assert args.transport == "inproc" and args.shape == "open"
-        args = build_parser().parse_args(
-            ["loadtest", "scream", "--transport", "threaded", "--shape", "retry-storm"]
-        )
-        assert args.name == "scream" and args.transport == "threaded"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadtest", "--shape", "sideways"])
-        for gone in ("carrier-pigeon", "async"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["loadtest", "--transport", gone])
-
-    def test_inproc_run_reports_balanced_accounting(
-        self, served_scream_registry, capsys
-    ):
-        import json
-
-        code = main(
-            [
-                "loadtest",
-                "scream",
-                "--dir",
-                str(served_scream_registry.directory),
-                "--requests",
-                "12",
-                "--rate",
-                "2000",
-                "--clients",
-                "2",
-                "--seed",
-                "5",
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        report = json.loads(captured.out)
-        assert report["offered"] == 12
-        assert report["offered"] == (
-            report["completed"] + report["shed"] + report["timed_out"] + report["failed"]
-        )
-        assert report["workload"]["name"] == "open_loop"
-        assert "accounting identity holds" in captured.err
 
 
 class TestStoreCommand:

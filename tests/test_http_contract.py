@@ -16,6 +16,11 @@ what only a socket can show:
   (request lines, header blocks, ``Content-Length`` values, truncated
   bodies) under which every exchange ends in a complete ``HTTP/1.x``
   status line or a clean close and the server stays healthy;
+- overload on the wire: a flash burst and a retry storm into a 2-deep
+  queue, connection churn with mid-body aborts, and byte-dribbling slow
+  clients.  Every request that was sent whole gets a status line and a
+  typed body, and the client's tally of 200/503/504 replies equals the
+  server's ``requests``/``shed``/``timeouts`` counters;
 - a seeded workload served over HTTP yields payloads **bitwise equal**
   to :meth:`ServeService.predict` in process, and the two services'
   counters reconcile;
@@ -33,6 +38,8 @@ import statistics
 import struct
 import sys
 import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -40,7 +47,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ServeError
-from repro.loadgen import HttpTarget
 from repro.rng import check_random_state
 from repro.runtime.clock import Deadline, Stopwatch
 from repro.serve import InferenceEngine, ServeConfig, ServeService, serve_http
@@ -83,19 +89,14 @@ def _post_bytes(path: str, body: bytes) -> bytes:
     ).encode("latin-1") + body
 
 
-@pytest.fixture(params=[pytest.param(serve_http, id="threaded")])
-def start_server(request):
-    return request.param
-
-
 @pytest.fixture()
-def server(start_server, served_scream_registry):
+def server(served_scream_registry):
     service = ServeService.from_registry(
         "scream",
         directory=served_scream_registry.directory,
         config=ServeConfig(max_batch=16),
     )
-    server = start_server(service)
+    server = serve_http(service)
     yield server
     server.close()
 
@@ -222,6 +223,15 @@ class TestConnectionHandling:
                     assert reader.read() == b""  # the server closed its side
         status, body = _raw_exchange(server.url, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
         assert status == 200 and json.loads(body)["status"] == "ok"
+
+    def test_a_burst_of_connects_is_accepted_at_once(self, listener):
+        """More connects than the stdlib's backlog of 5 wait no SYN retransmit (1 s)."""
+        watch = Stopwatch()
+        sockets = [socket.create_connection(_host_port(listener.url), timeout=5.0) for _ in range(24)]
+        elapsed = watch.elapsed()
+        for sock in sockets:
+            sock.close()
+        assert elapsed < 0.5, elapsed
 
     def test_connection_close_header_honored(self, server):
         request = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
@@ -402,8 +412,83 @@ class TestConnectionFaults:
         assert "Traceback" not in capsys.readouterr().err
 
 
+#: Concurrent connections in one overload burst.
+_BURST = 24
+#: Re-sends a retry-storm client makes after a 503.
+_RETRIES = 3
+#: The typed JSON error body of each overload status.
+_OVERLOAD_TYPES = {503: "BackpressureError", 504: "RequestTimeoutError"}
+
+
+@pytest.fixture()
+def tiny_queue(served_scream_registry):
+    """A server a burst overflows: batches of 2, 2 queue slots, 2 s reply timeout."""
+    service = ServeService.from_registry(
+        "scream",
+        directory=served_scream_registry.directory,
+        config=ServeConfig(max_batch=2, queue_bound=2, request_timeout=2.0),
+    )
+    server = serve_http(service)
+    yield server
+    server.close()
+
+
+def _slow_batches(monkeypatch, service, seconds: float = 0.02) -> None:
+    """Make every batch take at least ``seconds``, so a burst outruns the batcher."""
+    original = service.bundle.automl.predict_batch
+
+    def slowed(X):
+        threading.Event().wait(seconds)
+        return original(X)
+
+    monkeypatch.setattr(service.bundle.automl, "predict_batch", slowed)
+
+
+def _predict_request(rows) -> bytes:
+    return _post_bytes("/predict", json.dumps({"rows": rows}).encode())
+
+
+def _exchange_on(sock, reader, data: bytes) -> tuple[int, dict, bytes]:
+    """Send ``data`` on an open connection; the reply must start with a status line."""
+    sock.sendall(data)
+    assert reader.peek(9)[:9] == b"HTTP/1.1 "  # not a reset or a silent close
+    return _read_response(reader)
+
+
+def _assert_overload_reply(status: int, body: bytes) -> None:
+    payload = json.loads(body)
+    if status == 200:
+        assert "labels" in payload
+    else:
+        assert payload["type"] == _OVERLOAD_TYPES[status], (status, payload)
+
+
+def _assert_counters_match(service, statuses: Counter) -> None:
+    """The client's tally equals the engine's: accepted = 200 + 504, shed = 503."""
+    counters = service.metrics_registry.snapshot()["counters"]
+    assert counters["requests"] == statuses[200] + statuses[504]
+    assert counters["shed"] == statuses[503]
+    assert counters["timeouts"] == statuses[504]
+
+
+def _burst(url: str, attempt) -> list:
+    """Open :data:`_BURST` connections, then run ``attempt(sock, reader, index)`` on all at once."""
+    sockets = [socket.create_connection(_host_port(url), timeout=10.0) for _ in range(_BURST)]
+    barrier = threading.Barrier(_BURST)
+
+    def run(index):
+        with sockets[index] as sock, sock.makefile("rb") as reader:
+            barrier.wait(10.0)
+            return attempt(sock, reader, index)
+
+    with ThreadPoolExecutor(max_workers=_BURST) as pool:
+        return list(pool.map(run, range(_BURST)))
+
+
 class TestOverloadContract:
-    def test_shed_503_and_timeout_504(self, start_server, served_scream_registry, scream_data):
+    """Overload on the wire: shed or answer every request, never drop one."""
+
+    def test_shed_503_and_timeout_504(self, served_scream_registry, scream_data):
         """A wedged model: queued requests 504, overflow requests 503."""
         service = ServeService.from_registry(
             "scream",
@@ -420,7 +505,7 @@ class TestOverloadContract:
             return original(X)
 
         service.bundle.automl.predict_batch = wedged
-        server = start_server(service)
+        server = serve_http(service)
         request = _post_bytes("/predict", json.dumps({"rows": scream_data.X[:1].tolist()}).encode())
         results: dict[str, tuple[int, bytes]] = {}
 
@@ -458,6 +543,85 @@ class TestOverloadContract:
             server.close()
 
 
+    def test_flash_burst_sheds_and_every_request_is_counted(
+        self, tiny_queue, scream_data, monkeypatch
+    ):
+        _slow_batches(monkeypatch, tiny_queue.service)
+        requests = [_predict_request(scream_data.X[i : i + 1].tolist()) for i in range(_BURST)]
+        replies = _burst(tiny_queue.url, lambda sock, reader, i: _exchange_on(sock, reader, requests[i]))
+        for status, _, body in replies:
+            _assert_overload_reply(status, body)
+        statuses = Counter(status for status, _, _ in replies)
+        assert statuses[503] >= 1, "the burst should overflow a 2-deep queue"
+        assert sum(statuses.values()) == _BURST
+        _assert_counters_match(tiny_queue.service, statuses)
+
+    def test_retry_storm_answers_every_attempt(self, tiny_queue, scream_data, monkeypatch):
+        _slow_batches(monkeypatch, tiny_queue.service)
+        requests = [_predict_request(scream_data.X[i : i + 1].tolist()) for i in range(_BURST)]
+
+        def storm(sock, reader, index):
+            statuses = []
+            while True:  # a 503 is re-sent on the same connection, up to _RETRIES times
+                status, _, body = _exchange_on(sock, reader, requests[index])
+                _assert_overload_reply(status, body)
+                statuses.append(status)
+                if status != 503 or len(statuses) > _RETRIES:
+                    return statuses
+                threading.Event().wait(0.002)
+
+        per_client = _burst(tiny_queue.url, storm)
+        statuses = Counter(status for attempts in per_client for status in attempts)
+        assert sum(statuses.values()) > _BURST, "no 503 was retried"
+        assert all(len(attempts) <= 1 + _RETRIES for attempts in per_client)
+        _assert_counters_match(tiny_queue.service, statuses)
+
+    def test_connection_churn_answers_every_complete_request(self, tiny_queue, scream_data):
+        raised = []
+        tiny_queue.handle_error = lambda request, address: raised.append(sys.exc_info()[1])
+        n_requests = 40
+        aborted = set(check_random_state(13).choice(n_requests, n_requests // 4, replace=False).tolist())
+
+        def one(index):
+            body = json.dumps({"rows": scream_data.X[index : index + 1].tolist()}).encode()
+            request = _post_bytes("/predict", body)
+            with socket.create_connection(_host_port(tiny_queue.url), timeout=10.0) as sock:
+                if index in aborted:  # headers and half the body, then the client gives up
+                    sock.sendall(request[: len(request) - len(body) + len(body) // 2])
+                    return None
+                with sock.makefile("rb") as reader:
+                    return _exchange_on(sock, reader, request)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            replies = list(pool.map(one, range(n_requests)))
+        answered = [reply for reply in replies if reply is not None]
+        assert len(answered) == n_requests - len(aborted)
+        for status, _, body in answered:
+            _assert_overload_reply(status, body)
+        _assert_counters_match(tiny_queue.service, Counter(status for status, _, _ in answered))
+        assert raised == []
+        status, body = _raw_exchange(tiny_queue.url, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        assert status == 200 and json.loads(body)["status"] == "ok"
+
+    def test_slow_clients_are_all_answered(self, server, scream_data):
+        """Requests dribbled in 24-byte chunks; a 16-row batch and the default queue."""
+        requests = [_predict_request(scream_data.X[i : i + 1].tolist()) for i in range(16)]
+
+        def dribble(index):
+            request = requests[index]
+            with socket.create_connection(_host_port(server.url), timeout=10.0) as sock:
+                for start in range(0, len(request), 24):
+                    sock.sendall(request[start : start + 24])
+                    threading.Event().wait(0.005)
+                with sock.makefile("rb") as reader:
+                    status, _, body = _read_response(reader)
+            return status, json.loads(body)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            replies = list(pool.map(dribble, range(len(requests))))
+        assert all(status == 200 and "labels" in payload for status, payload in replies)
+
+
 class TestTransportEquivalence:
     def test_seeded_workload_served_bitwise_identically(
         self, served_scream_registry, scream_data
@@ -475,10 +639,16 @@ class TestTransportEquivalence:
 
         http_service = load()
         server = serve_http(http_service)
-        target = HttpTarget(server.url)
+        connection = http.client.HTTPConnection(*_host_port(server.url), timeout=5.0)
+        http_replies = []
         try:
-            http_replies = [target.exchange(rows, timeout=5.0, plan={}) for rows in requests]
+            for rows in requests:  # one keep-alive connection for the whole workload
+                body = json.dumps({"rows": rows}).encode("utf-8")
+                connection.request("POST", "/predict", body, {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                http_replies.append((response.status, response.read()))
         finally:
+            connection.close()
             server.close()
         with load() as local_service:
             # The handler's own encoding: json.dumps(payload).encode("utf-8").

@@ -19,6 +19,7 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import (
     BackpressureError,
@@ -313,6 +314,26 @@ class TestMetricsRegistry:
         assert summary["max"] == 6.0  # quantiles come from the retained window
         with pytest.raises(ValidationError):
             metrics.histogram("hits")  # name collision across kinds
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60
+        ),
+        window=st.integers(min_value=1, max_value=16),
+    )
+    def test_histogram_ring_buffer_matches_brute_force(self, values, window):
+        """The serving Histogram: exact count/sum, quantiles over the last `window`."""
+        histogram = MetricsRegistry().histogram("h", window=window)
+        for value in values:
+            histogram.observe(value)
+        summary = histogram.summary()
+        assert summary["count"] == len(values)
+        assert summary["sum"] == pytest.approx(sum(values))
+        retained = np.array(values[-window:])  # ring keeps exactly the newest window
+        assert summary["max"] == float(retained.max())
+        for label, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+            assert summary[label] == float(np.quantile(retained, q))
 
     def test_snapshot_shape(self):
         metrics = MetricsRegistry()
