@@ -5,6 +5,11 @@ regimes the ``repro.store`` subsystem exists for:
 
 - ``local_cold``   — serial runtime, empty local cache, no store (the
   baseline: every dataset generation, fit, and cell executes);
+- ``remote_cold``  — the same cold run with an empty local cache in
+  front of a live, *empty* artifact server: every artifact is pushed
+  from the caller's thread inside ``store()``, so the difference from
+  ``local_cold`` is what write-through costs a grid, and when the grid
+  returns the server already holds every entry;
 - ``remote_warm``  — an *empty* local cache in front of an artifact
   server warmed by the cold run: the whole grid must be answered across
   the wire with **zero** task executions;
@@ -13,8 +18,8 @@ regimes the ``repro.store`` subsystem exists for:
   grid executes everything locally instead of failing.
 
 Every regime must produce bitwise-identical balanced-accuracy scores;
-the zero-execution and graceful-degradation claims are asserted, not
-merely reported.  Results land in ``BENCH_store.json``.
+the replication, zero-execution and graceful-degradation claims are
+asserted, not merely reported.  Results land in ``BENCH_store.json``.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_store.py``
 """
@@ -115,6 +120,24 @@ def main(argv=None) -> int:
             run_regime("local_cold", cold_runtime, config)
         )
 
+        # Remote-cold: empty local cache, empty live server; every store pushes.
+        pushed_origin = StoreService(work_dir / "pushed-origin")
+        server = serve_store_http(pushed_origin)
+        pushing_runtime = TaskRuntime(
+            SerialExecutor(), cache=RemoteCacheTier(ArtifactCache(work_dir / "cold-local"), server.url)
+        )
+        try:
+            timings["remote_cold"], all_scores["remote_cold"], executions["remote_cold"], store_metas["remote_cold"] = (
+                run_regime("remote_cold", pushing_runtime, config)
+            )
+            # Read at once, with no wait: every push finished inside store().
+            local = pushing_runtime.cache.local
+            replicated = sorted(pushed_origin.cache.keys()) == sorted(local.keys()) and all(
+                pushed_origin.cache.read_blob(key) == local.read_blob(key) for key in local.keys()
+            )
+        finally:
+            server.close()
+
         # Remote-warm: empty local cache, every unit fetched from the server.
         server = serve_store_http(StoreService(origin_cache))
         warm_runtime = TaskRuntime(
@@ -125,7 +148,6 @@ def main(argv=None) -> int:
                 run_regime("remote_warm", warm_runtime, config)
             )
         finally:
-            warm_runtime.cache.close()
             server.close()
 
         # Store killed mid-session: breaker trips, the grid runs locally.
@@ -135,12 +157,9 @@ def main(argv=None) -> int:
             cache=RemoteCacheTier(ArtifactCache(work_dir / "killed-local"), dead_server.url),
         )
         dead_server.close()
-        try:
-            timings["store_killed"], all_scores["store_killed"], executions["store_killed"], store_metas["store_killed"] = (
-                run_regime("store_killed", killed_runtime, config)
-            )
-        finally:
-            killed_runtime.cache.close()
+        timings["store_killed"], all_scores["store_killed"], executions["store_killed"], store_metas["store_killed"] = (
+            run_regime("store_killed", killed_runtime, config)
+        )
         warm_stats = warm_runtime.stats
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
@@ -151,6 +170,8 @@ def main(argv=None) -> int:
         for scores in all_scores.values()
     )
     assert bitwise_identical, "store regimes disagree — the determinism contract is broken"
+    assert replicated, "the pushed store does not hold exactly the local cache's entries"
+    assert store_metas["remote_cold"]["push_failures"] == 0, store_metas["remote_cold"]
     warm_executions = executions["remote_warm"]
     assert warm_stats["executed"] == 0 and all(
         count == 0 for count in warm_executions.values()
@@ -170,15 +191,18 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "timings_seconds": {name: round(seconds, 4) for name, seconds in timings.items()},
         "speedup_remote_warm_vs_cold": round(timings["local_cold"] / timings["remote_warm"], 2),
+        "remote_cold_over_local_cold": round(timings["remote_cold"] / timings["local_cold"], 3),
         "executions_by_regime": executions,
         "remote_warm_executed": warm_stats["executed"],
         "store_stats_by_regime": {
             name: meta for name, meta in store_metas.items() if meta is not None
         },
         "bitwise_identical": bitwise_identical,
+        "remote_cold_replicated": replicated,
     }
     args.output.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
-    print(f"\nremote-warm speedup vs cold: {results['speedup_remote_warm_vs_cold']}x")
+    print(f"\nremote-cold time / local-cold time: {results['remote_cold_over_local_cold']}")
+    print(f"remote-warm speedup vs cold: {results['speedup_remote_warm_vs_cold']}x")
     print(f"results written to {args.output}")
     return 0
 

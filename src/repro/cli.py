@@ -135,7 +135,6 @@ def _report_runtime(runtime) -> None:
         file=sys.stderr,
     )
     if runtime.cache is not None and hasattr(type(runtime.cache), "remote_stats"):
-        runtime.cache.flush(timeout=10.0)
         remote = runtime.cache.remote_stats()
         degraded = "; DEGRADED to local-only" if remote["degraded"] else ""
         print(

@@ -15,13 +15,7 @@ from .scream import (
     ScreamOracle,
     generate_scream_dataset,
 )
-from .splits import (
-    PAPER_FIREWALL,
-    PAPER_SCREAM,
-    SplitBundle,
-    make_test_sets,
-    split_train_test_pool,
-)
+from .splits import SplitBundle, make_test_sets, split_train_test_pool
 
 __all__ = [
     "LabeledDataset",
@@ -36,6 +30,4 @@ __all__ = [
     "SplitBundle",
     "make_test_sets",
     "split_train_test_pool",
-    "PAPER_SCREAM",
-    "PAPER_FIREWALL",
 ]

@@ -22,24 +22,7 @@ from ..ml.model_selection import partition_evenly
 from ..rng import RandomState, check_random_state
 from .scream import LabeledDataset
 
-__all__ = ["SplitBundle", "split_train_test_pool", "make_test_sets", "PAPER_SCREAM", "PAPER_FIREWALL"]
-
-
-@dataclass(frozen=True)
-class PaperScaleConfig:
-    """Dataset sizing knobs with the paper's values as the reference."""
-
-    train: int
-    test: int
-    pool: int
-    feedback_points: int
-    n_test_sets: int = 20
-
-
-PAPER_SCREAM = PaperScaleConfig(train=1161, test=4850, pool=2000, feedback_points=280)
-# The firewall dataset uses fractions of 65k rows in the paper; the
-# reference config captures the paper's proportions at full scale.
-PAPER_FIREWALL = PaperScaleConfig(train=26212, test=13106, pool=26212, feedback_points=280)
+__all__ = ["SplitBundle", "split_train_test_pool", "make_test_sets"]
 
 
 @dataclass

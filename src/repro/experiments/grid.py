@@ -112,8 +112,9 @@ class GridResult:
     resumed_cells: int = 0
     #: Remote-store accounting when the runtime's cache is a
     #: ``RemoteCacheTier`` (``None`` otherwise): its ``remote_stats()``
-    #: snapshot — remote hits, pushes, and whether the tier degraded to
-    #: local-only mid-run.
+    #: snapshot taken when the grid returns — remote hits, pushes (each
+    #: finished before its ``store()`` returned), and whether the tier
+    #: degraded to local-only mid-run.
     store: dict[str, Any] | None = None
 
     def metadata(self) -> dict[str, Any]:
@@ -291,14 +292,12 @@ def run_experiment_grid(
     kept = [name for name in algorithms if name not in failed_algorithms]
     if not kept:
         raise first_error  # every algorithm lost at least one cell
-    # A RemoteCacheTier cache exposes flush()/remote_stats(); a plain
-    # ArtifactCache (or no cache) does not — duck-typed so this layer
-    # never imports the store layer above it.  Flush bounds the wait for
-    # background pushes so the snapshot reflects the whole run.
-    stats_of = getattr(type(runtime.cache), "remote_stats", None)
+    # A RemoteCacheTier cache exposes remote_stats(); a plain ArtifactCache
+    # (or no cache) does not — duck-typed so this layer never imports the
+    # store layer above it.  Pushes finish inside each store() call, so
+    # the snapshot already covers the whole run.
     store_stats = None
-    if stats_of is not None:
-        runtime.cache.flush(timeout=10.0)
+    if hasattr(type(runtime.cache), "remote_stats"):
         store_stats = runtime.cache.remote_stats()
     return GridResult(
         collected={name: collected[name] for name in kept},

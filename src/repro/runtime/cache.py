@@ -187,9 +187,6 @@ class ArtifactCache:
 
     def __init__(self, directory: Path | str | None = None):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
         self.corrupt_evictions = 0
 
     # -- addressing --------------------------------------------------------
@@ -214,24 +211,20 @@ class ArtifactCache:
             with open(path, "rb") as handle:
                 value = pickle.load(handle)
         except FileNotFoundError:
-            self.misses += 1
             return False, None
         except Exception:  # corrupt pickle, truncated file, perm change, ...
             self.corrupt_evictions += 1
-            self.misses += 1
             try:
                 path.unlink()
             except OSError:
                 pass
             return False, None
-        self.hits += 1
         return True, value
 
     def store(self, key: str, value: Any) -> Path:
         """Atomically persist ``value`` under ``key``; returns the path."""
         path = self.path_for(key)
         write_atomic(path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-        self.stores += 1
         return path
 
     # -- publish/fetch (registry entry points) ----------------------------
@@ -252,7 +245,6 @@ class ArtifactCache:
         path = self.path_for(key)
         if not path.exists():
             write_atomic(path, blob)
-            self.stores += 1
         return key
 
     def fetch(self, key: str) -> Any:
@@ -293,7 +285,6 @@ class ArtifactCache:
         """
         path = self.path_for(key)
         write_atomic(path, blob)
-        self.stores += 1
         return path
 
     # -- maintenance -------------------------------------------------------
@@ -311,7 +302,7 @@ class ArtifactCache:
             return False
 
     def info(self) -> dict[str, Any]:
-        """Entry count and total bytes on disk (plus session counters)."""
+        """Entry count and total bytes on disk."""
         entries = []
         total = 0
         for path in self._entries():
@@ -324,12 +315,6 @@ class ArtifactCache:
             "directory": str(self.directory),
             "entries": len(entries),
             "total_bytes": int(total),
-            "session": {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "corrupt_evictions": self.corrupt_evictions,
-            },
         }
 
     def clear(self) -> int:

@@ -11,12 +11,17 @@ duck-typed :class:`~repro.runtime.cache.ArtifactCache` peer layered over
 the local cache.  ``load`` is read-through — local miss → remote fetch →
 digest verify → atomic local install → unpickle from disk, so a remote
 hit is *byte-identical* to what a local execution would have written.
-``store`` is write-through — local install first (tasks never wait on
-the network), then a background push with deterministic bounded retries
-(no sleeps, no clocks: ``RETRIES + 1`` immediate attempts).  A run of
-``FAILURE_THRESHOLD`` consecutive transport failures trips a circuit
-breaker into *degraded* local-only mode: the peer being down can slow a
-grid, never fail it.
+``store`` is write-through — local install first, then a push in the
+caller's thread with deterministic bounded retries (no sleeps, no
+clocks: ``RETRIES + 1`` immediate attempts), so when ``store`` returns
+the origin holds the entry or the failure is counted.  A grid's pushes
+are a small share of its fits (``benchmarks/bench_store.py`` times the
+``remote_cold`` regime against ``local_cold``).  ``FAILURE_THRESHOLD``
+consecutive transport failures in either direction (fetch or push,
+counted apart) trip a circuit breaker into *degraded* local-only mode:
+the peer being down can slow a grid, by at most
+``FAILURE_THRESHOLD × (RETRIES + 1)`` timed-out calls per direction,
+never fail it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import json
 import threading
 import urllib.error
 import urllib.request
-from collections import deque
 from typing import Any
 
 from ..exceptions import (
@@ -47,11 +51,9 @@ TIMEOUT_S = 10.0
 #: Extra attempts after a failed transport call, back-to-back (no sleeps).
 RETRIES = 2
 
-#: Consecutive failed calls (each after its retries) that trip the breaker.
+#: Consecutive failed calls in one direction (each after its retries)
+#: that trip the breaker.
 FAILURE_THRESHOLD = 3
-
-#: Bound on the background push queue; overflow drops pushes (counted).
-MAX_PENDING_PUSHES = 256
 
 
 class StoreClient:
@@ -156,7 +158,8 @@ class RemoteCacheTier:
     Implements the two-method cache contract the runtime calls
     (``load``/``store``) and transparently forwards everything else to
     the wrapped local :class:`ArtifactCache`, so it drops in anywhere a
-    cache is accepted.
+    cache is accepted.  It starts no thread; one lock keeps the breaker
+    and counters consistent when threads share a tier.
 
     Parameters
     ----------
@@ -180,12 +183,10 @@ class RemoteCacheTier:
         self.url = str(url).rstrip("/")
         self.client = client if client is not None else StoreClient(self.url)
         self.degraded = False
-        self._consecutive_failures = 0
-        self._pending: deque[tuple[str, bytes]] = deque()
-        self._inflight = False
-        self._closed = False
-        self._worker: threading.Thread | None = None
-        self._cond = threading.Condition()
+        # Counted per direction: a peer that answers GETs but fails every
+        # PUT must still trip the breaker.
+        self._consecutive_failures = {"fetch": 0, "push": 0}
+        self._lock = threading.Lock()
         self.counters = {
             "remote_hits": 0,
             "remote_misses": 0,
@@ -211,16 +212,15 @@ class RemoteCacheTier:
         hit, value = self.local.load(key)
         if not hit:
             return False, None  # remote blob unpicklable; local load evicted it
-        with self._cond:
-            self.counters["remote_hits"] += 1
+        self._count("remote_hits")
         return True, value
 
     def store(self, key: str, value: Any):
-        """Local install (tasks never wait on the wire), then push."""
+        """Local install first, then push the installed bytes to the peer."""
         path = self.local.store(key, value)
         blob = self.local.read_blob(key)
         if blob is not None:
-            self._submit_push(key, blob)
+            self._push_now(key, blob)
         return path
 
     def __getattr__(self, name: str):
@@ -230,14 +230,19 @@ class RemoteCacheTier:
 
     # -- breaker bookkeeping -----------------------------------------------
 
-    def _note_success(self) -> None:
-        with self._cond:
-            self._consecutive_failures = 0
+    def _count(self, name: str) -> None:
+        with self._lock:
+            self.counters[name] += 1
 
-    def _note_failure(self) -> None:
-        with self._cond:
-            self._consecutive_failures += 1
-            if not self.degraded and self._consecutive_failures >= FAILURE_THRESHOLD:
+    def _note_success(self, direction: str) -> None:
+        with self._lock:
+            self._consecutive_failures[direction] = 0
+
+    def _note_failure(self, direction: str, counter: str) -> None:
+        with self._lock:
+            self.counters[counter] += 1
+            self._consecutive_failures[direction] += 1
+            if not self.degraded and self._consecutive_failures[direction] >= FAILURE_THRESHOLD:
                 self.degraded = True
                 self.counters["degradations"] += 1
 
@@ -250,64 +255,25 @@ class RemoteCacheTier:
             try:
                 blob = self.client.fetch(key)
             except StoreIntegrityError:
-                with self._cond:
-                    self.counters["integrity_rejections"] += 1
+                self._count("integrity_rejections")
                 return None  # never trust or retry bytes that failed the digest
             except StoreUnavailableError:
                 continue
             except (ValidationError, StoreError):
-                with self._cond:
-                    self.counters["remote_fetch_failures"] += 1
+                self._count("remote_fetch_failures")
                 return None
-            self._note_success()
+            self._note_success("fetch")
             if blob is None:
-                with self._cond:
-                    self.counters["remote_misses"] += 1
+                self._count("remote_misses")
             return blob
-        self._note_failure()
-        with self._cond:
-            self.counters["remote_fetch_failures"] += 1
+        self._note_failure("fetch", "remote_fetch_failures")
         return None
 
     # -- push path ---------------------------------------------------------
 
-    def _submit_push(self, key: str, blob: bytes) -> None:
-        if self.degraded or self._closed:
-            with self._cond:
-                self.counters["push_drops"] += 1
-            return
-        with self._cond:
-            if len(self._pending) >= MAX_PENDING_PUSHES:
-                self.counters["push_drops"] += 1
-                return
-            self._pending.append((key, blob))
-            if self._worker is None:
-                self._worker = threading.Thread(
-                    target=self._push_worker, name="repro-store-push", daemon=True
-                )
-                self._worker.start()
-            self._cond.notify_all()
-
-    def _push_worker(self) -> None:
-        while True:
-            with self._cond:
-                while not self._pending and not self._closed:
-                    self._cond.wait()
-                if not self._pending:
-                    return  # closed and drained
-                key, blob = self._pending.popleft()
-                self._inflight = True
-            try:
-                self._push_now(key, blob)
-            finally:
-                with self._cond:
-                    self._inflight = False
-                    self._cond.notify_all()
-
     def _push_now(self, key: str, blob: bytes) -> None:
         if self.degraded:
-            with self._cond:
-                self.counters["push_drops"] += 1
+            self._count("push_drops")
             return
         for _attempt in range(RETRIES + 1):
             try:
@@ -317,42 +283,16 @@ class RemoteCacheTier:
             except (ValidationError, StoreError):
                 # Typed rejection (oversize, integrity): permanent for these
                 # bytes — count it, don't touch the availability breaker.
-                with self._cond:
-                    self.counters["push_failures"] += 1
+                self._count("push_failures")
                 return
-            self._note_success()
-            with self._cond:
-                self.counters["pushes"] += 1
+            self._note_success("push")
+            self._count("pushes")
             return
-        self._note_failure()
-        with self._cond:
-            self.counters["push_failures"] += 1
+        self._note_failure("push", "push_failures")
 
-    # -- lifecycle / observability -----------------------------------------
-
-    def flush(self, timeout: float | None = None) -> bool:
-        """Wait until queued pushes are done; ``True`` when drained."""
-        with self._cond:
-            while self._pending or self._inflight:
-                if not self._cond.wait(timeout):
-                    return not (self._pending or self._inflight)
-            return True
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop accepting pushes, let the worker drain, join it."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-            worker = self._worker
-        if worker is not None:
-            worker.join(timeout)
+    # -- observability -----------------------------------------------------
 
     def remote_stats(self) -> dict[str, Any]:
         """The ``record.metadata["grid"]["store"]`` payload."""
-        with self._cond:
-            return {
-                "url": self.url,
-                "degraded": self.degraded,
-                "pending_pushes": len(self._pending),
-                **dict(self.counters),
-            }
+        with self._lock:
+            return {"url": self.url, "degraded": self.degraded, **self.counters}

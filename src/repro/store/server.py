@@ -5,15 +5,16 @@ serve listener (:class:`~repro.serve.http.ThreadedHTTPServer` and
 :class:`~repro.serve.http.JSONRequestHandler`) and owns every store
 route::
 
-    GET /artifacts/<key>   the blob, streamed, with its X-Repro-Blob-SHA256
+    GET /artifacts/<key>   the blob, with its X-Repro-Blob-SHA256
     PUT /artifacts/<key>   streamed upload, installed on digest match
     GET /stat              store totals and metrics
     GET /healthz           liveness + role
 
-Bodies are *streamed*: a PUT hashes chunks into a unique temp file and
-only installs on digest match (:meth:`StoreService.put_stream`), and a
-GET streams from an open handle that was hashed through that same
-handle, so a concurrent prune can never tear a response.  Typed errors
+A PUT body is *streamed*: it hashes chunks into a unique temp file and
+only installs on digest match (:meth:`StoreService.put_stream`).  A GET
+reads the blob with one read of one open file
+(:meth:`StoreService.get_blob`), then hashes and sends those same
+bytes, so a concurrent prune can never tear a response.  Typed errors
 map to statuses in :func:`_error_reply` (400 validation or integrity
 mismatch, 413 oversize, 503 shut down, 500 other store failures); an
 unknown key or route is a 404.  Other methods get a bodiless-for-HEAD
@@ -32,7 +33,7 @@ from ..exceptions import (
     ValidationError,
 )
 from ..serve.http import JSONRequestHandler, ThreadedHTTPServer
-from .service import CHUNK_BYTES, StoreService
+from .service import CHUNK_BYTES, StoreService, blob_digest
 
 __all__ = ["StoreHTTPServer", "serve_store_http", "BLOB_DIGEST_HEADER"]
 
@@ -72,7 +73,7 @@ class _Handler(JSONRequestHandler):
         self.send_json(404, {"error": message, "type": "NotFound"})
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib dispatch name
-        """Totals and liveness as JSON, or an artifact body streamed from disk."""
+        """Totals and liveness as JSON, or an artifact body read from disk."""
         service = self.server.service
         key = _artifact_key(self.path)
         route = {"/healthz": service.healthz, "/stat": service.stat}.get(self.path)
@@ -83,17 +84,16 @@ class _Handler(JSONRequestHandler):
             if key is None:
                 self.send_json(200, route())
                 return
-            handle, size, digest = service.open_blob(key)
+            blob = service.get_blob(key)
         except KeyError:
             self._not_found(f"no artifact {key!r} in this store")
             return
         except (ValidationError, StoreError) as error:
             self.send_json(*_error_reply(error))
             return
-        with handle:
-            self.send_head(200, "application/octet-stream", size, {BLOB_DIGEST_HEADER: digest})
-            while chunk := handle.read(CHUNK_BYTES):
-                self.wfile.write(chunk)
+        digest = blob_digest(blob)
+        self.send_head(200, "application/octet-stream", len(blob), {BLOB_DIGEST_HEADER: digest})
+        self.wfile.write(blob)
 
     def _body_chunks(self, remaining: int) -> Iterator[bytes]:
         while remaining > 0:

@@ -19,7 +19,7 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable
+from typing import Any, Iterable
 
 from ..exceptions import (
     PayloadTooLargeError,
@@ -37,7 +37,7 @@ __all__ = ["StoreService", "blob_digest", "DEFAULT_MAX_BLOB_BYTES"]
 #: disk/memory cost, not to ration the store.
 DEFAULT_MAX_BLOB_BYTES = 64 * 1024 * 1024
 
-#: Read/write granularity for streamed bodies.
+#: Read/write granularity for streamed PUT bodies.
 CHUNK_BYTES = 1024 * 1024
 
 _HEX = set("0123456789abcdef")
@@ -108,31 +108,23 @@ class StoreService:
 
     # -- reads -------------------------------------------------------------
 
-    def open_blob(self, key: str) -> tuple[BinaryIO, int, str]:
-        """``(handle, size, sha256)`` for streaming one blob out.
+    def get_blob(self, key: str) -> bytes:
+        """One blob's exact bytes, taken by one read of one open file.
 
-        The blob is hashed in ``CHUNK_BYTES`` chunks through the returned
-        handle itself, which is then rewound, so even if the entry is
-        concurrently replaced or pruned, the caller streams exactly the
-        bytes that were hashed (POSIX keeps an open file alive past
-        unlink).  Raises ``KeyError`` when absent.
+        The read holds its own open file, so even if the entry is
+        concurrently replaced or pruned, the caller gets one whole
+        version (POSIX keeps an open file alive past unlink).  Raises
+        ``KeyError`` when absent.
         """
         self._check_open()
         self.validate_key(key)
-        try:
-            handle = open(self.cache.path_for(key), "rb")
-        except OSError:
+        blob = self.cache.read_blob(key)
+        if blob is None:
             self.metrics_registry.counter("fetch_misses").inc()
-            raise KeyError(key) from None
-        h = hashlib.sha256()
-        size = 0
-        while chunk := handle.read(CHUNK_BYTES):
-            h.update(chunk)
-            size += len(chunk)
-        handle.seek(0)
+            raise KeyError(key)
         self.metrics_registry.counter("fetches").inc()
-        self.metrics_registry.histogram("fetch_bytes").observe(size)
-        return handle, size, h.hexdigest()
+        self.metrics_registry.histogram("fetch_bytes").observe(len(blob))
+        return blob
 
     # -- writes ------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from repro.runtime.clock import Deadline
 def no_leaked_threads():
     """Fail a test that leaves a thread running after it returns.
 
-    An unclosed engine, server, mirror, push worker or process pool shows
+    An unclosed engine, server, mirror or process pool shows
     up here.  Threads the test started get 2 s in total to exit.
     """
     before = set(threading.enumerate())

@@ -123,4 +123,3 @@ class TestStoreCommand:
         runtime = _runtime_from_args(args)
         assert isinstance(runtime.cache, RemoteCacheTier)
         assert runtime.cache_mode == "on"
-        runtime.cache.close()

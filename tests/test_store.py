@@ -53,7 +53,7 @@ from repro.store import (
     blob_digest,
     serve_store_http,
 )
-from repro.store.client import FAILURE_THRESHOLD, MAX_PENDING_PUSHES, RETRIES
+from repro.store.client import FAILURE_THRESHOLD, RETRIES
 
 
 def _key(tag: str) -> str:
@@ -90,10 +90,7 @@ class TestStoreService:
         key, blob = _key("rt"), b"artifact bytes" * 100
         result = _put(service, key, blob, blob_digest(blob))
         assert result == {"key": key, "bytes": len(blob), "sha256": blob_digest(blob), "installed": True}
-        handle, size, digest = service.open_blob(key)
-        with handle:
-            assert handle.read() == blob
-        assert size == len(blob) and digest == blob_digest(blob)
+        assert service.get_blob(key) == blob
 
     def test_digest_mismatch_installs_nothing(self, tmp_path):
         service = StoreService(tmp_path)
@@ -123,13 +120,13 @@ class TestStoreService:
         service = StoreService(tmp_path)
         for bad in ("abcd1234", "x" * 64, "A" * 63):
             with pytest.raises(ValidationError, match="64-char sha256"):
-                service.open_blob(bad)
+                service.get_blob(bad)
 
     def test_closed_store_is_unavailable(self, tmp_path):
         service = StoreService(tmp_path)
         service.close()
         for call in (
-            lambda: service.open_blob(_key("k")),
+            lambda: service.get_blob(_key("k")),
             lambda: _put(service, _key("k"), b"x", blob_digest(b"x")),
             lambda: service.stat(),
             lambda: service.healthz(),
@@ -140,14 +137,11 @@ class TestStoreService:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(blob=st.binary(min_size=0, max_size=4096))
     def test_round_trip_bitwise_for_arbitrary_bytes(self, tmp_path, blob):
-        """Publish→fetch is bitwise through the service's streamed read."""
+        """Publish→fetch is bitwise through the service's GET read."""
         service = StoreService(tmp_path)
         key = blob_digest(blob)  # any 64-hex key works; this one is unique per blob
         assert _put(service, key, blob, blob_digest(blob))["installed"] is True
-        handle, size, digest = service.open_blob(key)
-        with handle:
-            assert handle.read() == blob
-        assert size == len(blob) and digest == blob_digest(blob)
+        assert service.get_blob(key) == blob
 
 
 class TestWireProtocol:
@@ -161,6 +155,43 @@ class TestWireProtocol:
         status, body, _ = _raw(store_server.url, "GET", "/healthz")
         assert status == 200 and json.loads(body)["role"] == "artifact-store"
         assert client.stat()["entries"] == 1
+
+    def test_get_reads_the_blob_once(self, store_server, monkeypatch):
+        """A GET reads the blob's bytes from disk once, then hashes and sends them."""
+        import builtins
+
+        client = StoreClient(store_server.url)
+        key, blob = _key("read-once"), os.urandom(3 * 1024 * 1024 + 17)
+        client.push(key, blob)
+        path = str(store_server.service.cache.path_for(key))
+        bytes_read: list[int] = []
+        real_open = builtins.open
+
+        class _CountingFile:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def read(self, *args):
+                chunk = self._handle.read(*args)
+                bytes_read.append(len(chunk))
+                return chunk
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+
+        def counting_open(file, *args, **kwargs):
+            handle = real_open(file, *args, **kwargs)
+            return _CountingFile(handle) if str(file) == path else handle
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert client.fetch(key) == blob
+        assert sum(bytes_read) == len(blob)
 
     def test_head_sends_headers_without_a_body(self, store_server):
         """HEAD gets the stdlib's bodiless 501 and a close, so no stray bytes desync a reply."""
@@ -318,7 +349,6 @@ class TestRemoteCacheTier:
             hit, _ = tier.load(_key("shared"))  # now a purely local hit
             assert hit and tier.remote_stats()["remote_hits"] == 1
         finally:
-            tier.close()
             server.close()
 
     def test_write_through_replicates_to_origin(self, tmp_path):
@@ -326,26 +356,15 @@ class TestRemoteCacheTier:
         server = serve_store_http(origin)
         tier = RemoteCacheTier(ArtifactCache(tmp_path / "local"), server.url)
         try:
-            tier.store(_key("pushed"), [3, 4, 5])
-            assert tier.flush(timeout=10.0) is True
-            assert origin.cache.read_blob(_key("pushed")) == tier.local.read_blob(_key("pushed"))
-            assert tier.remote_stats()["pushes"] == 1
-        finally:
-            tier.close()
-            server.close()
-
-    def test_background_push_flush_drains(self, tmp_path):
-        origin = StoreService(tmp_path / "origin")
-        server = serve_store_http(origin)
-        tier = RemoteCacheTier(ArtifactCache(tmp_path / "local"), server.url)
-        try:
-            for index in range(4):
-                tier.store(_key(f"bg{index}"), index)
-            assert tier.flush(timeout=10.0) is True
+            keys = [_key(f"pushed{index}") for index in range(4)]
+            for index, key in enumerate(keys):
+                tier.store(key, [index, 3, 4, 5])
+            # No wait: each push finished before its store() returned.
+            assert sorted(origin.cache.keys()) == sorted(keys)
+            for key in keys:
+                assert origin.cache.read_blob(key) == tier.local.read_blob(key)
             assert tier.remote_stats()["pushes"] == 4
-            assert sorted(origin.cache.keys()) == sorted(tier.local.keys())
         finally:
-            tier.close()
             server.close()
 
     def test_dead_peer_degrades_to_local_only(self, tmp_path):
@@ -364,7 +383,6 @@ class TestRemoteCacheTier:
         tier.store(_key("local-life"), "still works")
         assert tier.load(_key("local-life")) == (True, "still works")
         assert tier.remote_stats()["push_drops"] == 1
-        tier.close()
 
     def test_fetch_retries_are_bounded_and_deterministic(self, tmp_path):
         client = _ScriptedClient(fetch=_raise(StoreUnavailableError("down")))
@@ -374,7 +392,6 @@ class TestRemoteCacheTier:
         assert RETRIES == 2
         assert len(client.fetch_calls) == 3  # RETRIES + 1, back-to-back
         assert tier.remote_stats()["remote_fetch_failures"] == 1
-        tier.close()
 
     def test_breaker_trips_after_threshold_and_stops_calling(self, tmp_path):
         client = _ScriptedClient(fetch=_raise(StoreUnavailableError("down")))
@@ -388,7 +405,22 @@ class TestRemoteCacheTier:
         tier.load(_key("d"))  # breaker open: the wire is not touched again
         assert len(client.fetch_calls) == 3 * (RETRIES + 1)
         assert tier.remote_stats()["degradations"] == 1
-        tier.close()
+
+    def test_push_failures_trip_the_breaker_while_fetches_answer(self, tmp_path):
+        """A peer that answers every GET but fails every PUT still degrades."""
+        client = _ScriptedClient(fetch=None, push=_raise(StoreUnavailableError("down")))
+        tier = RemoteCacheTier(ArtifactCache(tmp_path), "http://unused", client=client)
+        for index in range(10):  # the grid's rhythm: miss, execute, store
+            assert tier.load(_key(f"cell{index}")) == (False, None)
+            tier.store(_key(f"cell{index}"), index)
+        assert len(client.push_calls) == FAILURE_THRESHOLD * (RETRIES + 1)
+        assert tier.degraded is True
+        stats = tier.remote_stats()
+        drops = stats["push_drops"]
+        tier.store(_key("after"), "local only")
+        assert len(client.push_calls) == FAILURE_THRESHOLD * (RETRIES + 1)
+        assert tier.remote_stats()["push_drops"] == drops + 1
+        assert stats["degradations"] == 1 and stats["push_failures"] == FAILURE_THRESHOLD
 
     def test_integrity_failure_is_never_retried(self, tmp_path):
         client = _ScriptedClient(fetch=_raise(StoreIntegrityError("corrupt")))
@@ -398,7 +430,6 @@ class TestRemoteCacheTier:
         assert len(client.fetch_calls) == 1  # corrupt bytes are not worth re-reading
         stats = tier.remote_stats()
         assert stats["integrity_rejections"] == 1 and stats["degraded"] is False
-        tier.close()
 
     def test_remote_miss_counts_without_degrading(self, tmp_path):
         client = _ScriptedClient(fetch=None)
@@ -406,41 +437,15 @@ class TestRemoteCacheTier:
         assert tier.load(_key("m")) == (False, None)
         stats = tier.remote_stats()
         assert stats["remote_misses"] == 1 and stats["degraded"] is False
-        tier.close()
 
     def test_typed_push_rejection_does_not_trip_breaker(self, tmp_path):
         client = _ScriptedClient(push=_raise(PayloadTooLargeError("too big")))
         tier = RemoteCacheTier(ArtifactCache(tmp_path), "http://unused", client=client)
         for index in range(FAILURE_THRESHOLD):
             tier.store(_key(f"fat{index}"), "x" * 64)
-        assert tier.flush(timeout=10.0) is True
         stats = tier.remote_stats()
         assert stats["push_failures"] == FAILURE_THRESHOLD and stats["degraded"] is False
         assert len(client.push_calls) == FAILURE_THRESHOLD  # a typed rejection is not retried
-        tier.close()
-
-    def test_push_queue_overflow_drops_instead_of_blocking(self, tmp_path):
-        release = threading.Event()
-
-        def blocking_push(key, blob):
-            release.wait(timeout=30)
-            return {"installed": True}
-
-        client = _ScriptedClient(push=blocking_push)
-        tier = RemoteCacheTier(ArtifactCache(tmp_path), "http://unused", client=client)
-        tier.store(_key("q0"), 0)  # dequeued by the worker, blocks in push
-        for _ in range(50):  # wait (bounded) for the worker to take it
-            if not tier.remote_stats()["pending_pushes"]:
-                break
-            threading.Event().wait(0.01)
-        for index in range(MAX_PENDING_PUSHES):  # fills the queue
-            tier.store(_key(f"q{index + 1}"), index)
-        tier.store(_key("overflow"), -1)  # dropped, store() returns at once
-        assert tier.remote_stats()["push_drops"] >= 1
-        assert tier.remote_stats()["pending_pushes"] <= MAX_PENDING_PUSHES
-        release.set()
-        assert tier.flush(timeout=10.0) is True
-        tier.close()
 
     def test_everything_else_delegates_to_local(self, tmp_path):
         local = ArtifactCache(tmp_path)
@@ -449,7 +454,6 @@ class TestRemoteCacheTier:
         assert tier.keys() == local.keys()
         assert tier.path_for(_key("d")) == local.path_for(_key("d"))
         assert tier.info()["entries"] == 1
-        tier.close()
 
 
 class TestCacheRaceRegressions:
@@ -580,7 +584,6 @@ class TestRemoteWarmGrid:
             for key in local.keys():
                 assert local.read_blob(key) == origin.cache.read_blob(key)
         finally:
-            runtime.cache.close()
             server.close()
 
     def test_server_killed_mid_session_degrades_to_local(self, cold_grid, tmp_path):
@@ -590,24 +593,17 @@ class TestRemoteWarmGrid:
         runtime = TaskRuntime(
             SerialExecutor(), cache=RemoteCacheTier(ArtifactCache(tmp_path / "local"), server.url)
         )
-        try:
-            assert runtime.cache.client.stat()["entries"] == 0  # peer alive at start
-            server.close()  # ...and killed before the grid's first fetch
-            clear_dataset_memo()
-            table, record = run_table1(
-                GRID_CONFIG, algorithms=list(GRID_ALGORITHMS), runtime=runtime
-            )
-            # The grid completed locally and recorded the degradation.
-            store_meta = record.metadata["grid"]["store"]
-            assert store_meta["degraded"] is True
-            assert store_meta["degradations"] == 1
-            assert runtime.stats["executed"] == GRID_UNITS
-            for name in GRID_ALGORITHMS:
-                np.testing.assert_array_equal(
-                    cold_table.scores(name).scores, table.scores(name).scores
-                )
-        finally:
-            runtime.cache.close()
+        assert runtime.cache.client.stat()["entries"] == 0  # peer alive at start
+        server.close()  # ...and killed before the grid's first fetch
+        clear_dataset_memo()
+        table, record = run_table1(GRID_CONFIG, algorithms=list(GRID_ALGORITHMS), runtime=runtime)
+        # The grid completed locally and recorded the degradation.
+        store_meta = record.metadata["grid"]["store"]
+        assert store_meta["degraded"] is True
+        assert store_meta["degradations"] == 1
+        assert runtime.stats["executed"] == GRID_UNITS
+        for name in GRID_ALGORITHMS:
+            np.testing.assert_array_equal(cold_table.scores(name).scores, table.scores(name).scores)
 
 
 class TestStoreErrors:
