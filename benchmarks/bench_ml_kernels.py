@@ -1,6 +1,6 @@
 """Benchmark the flat-array ensemble kernels and the batched committee ALE.
 
-Two micro measurements:
+Three micro measurements:
 
 - ``predict_proba`` — forests and boosting through the
   :class:`repro.ml.kernels.TreeBank` kernel vs their legacy per-member
@@ -14,6 +14,11 @@ Two micro measurements:
   for *all* features stacked into few ``predict_proba`` calls
   (:func:`repro.core.ale.ale_curves_for_features`) vs the historical
   two-model-calls-per-feature shape through the per-member loops.
+- ``peak memory`` — the ``tracemalloc`` peak of one ``predict_proba``
+  call on a large batch, per model.  The kernel walks rows in chunks of
+  a fixed (tree, row) state budget, so the peak is asserted below
+  ``PEAK_BOUND_MIB`` whatever the batch size; descending the whole batch
+  at once peaks at hundreds of MiB here.
 
 Bitwise identity between the fast and legacy paths is asserted on every
 measurement — the speedups are only meaningful if the bits agree.
@@ -29,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +46,9 @@ from repro.rng import check_random_state
 from repro.runtime.clock import Stopwatch
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Asserted ceiling on one large-batch ``predict_proba``'s traced peak.
+PEAK_BOUND_MIB = 16.0
 
 
 def best_of(fn, repeats: int) -> float:
@@ -94,6 +103,27 @@ def bench_predict(models: dict, eval_sets: dict, repeats: int) -> dict:
                 f"kernel {entry['kernel_ms']:8.2f} ms  per-member {entry['per_member_ms']:8.2f} ms  "
                 f"{entry['speedup']:5.2f}x"
             )
+    return section
+
+
+def bench_peak_memory(models: dict, X_large: np.ndarray) -> dict:
+    """Traced peak of one large-batch ``predict_proba`` per model, gated."""
+    section: dict[str, dict] = {}
+    for model_name, model in models.items():
+        model.predict_proba(X_large[:1])  # build the bank outside the trace
+        tracemalloc.start()
+        try:
+            model.predict_proba(X_large)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peak_mib = peak / 2**20
+        section[model_name] = {"rows": int(X_large.shape[0]), "peak_mib": round(peak_mib, 2)}
+        print(f"peak memory   {model_name:18s} {X_large.shape[0]:5d} rows  {peak_mib:8.2f} MiB")
+        assert peak_mib < PEAK_BOUND_MIB, (
+            f"{model_name}: predict_proba on {X_large.shape[0]} rows peaked at "
+            f"{peak_mib:.1f} MiB, over the {PEAK_BOUND_MIB} MiB bound"
+        )
     return section
 
 
@@ -170,6 +200,7 @@ def main(argv=None) -> int:
         ).fit(X_train, y_train),
     }
     predict_section = bench_predict(models, eval_sets, args.repeats)
+    memory_section = bench_peak_memory(models, rng.normal(size=(60_000, args.n_features)))
 
     committee = [
         RandomForestClassifier(n_estimators=50, random_state=seed).fit(X_train, y_train)
@@ -200,7 +231,9 @@ def main(argv=None) -> int:
         ),
         "predict_proba": predict_section,
         "committee_ale": ale_section,
+        "peak_memory": memory_section,
         "asserted_min_speedup": {"model": "random_forest", "rows": 200, "speedup": 3.0},
+        "asserted_max_peak_mib": PEAK_BOUND_MIB,
     }
     args.output.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
     print(f"\nheadline: {headline:.2f}x forest predict_proba at 200 rows")

@@ -21,7 +21,11 @@ into large ``predict_proba`` batches (bounded by ``max_batch_rows``)
 instead of issuing two model calls per feature.  Each row's prediction
 is independent of its batch neighbours for every model in this library,
 so batch composition never changes the produced bits — the same
-invariant the serving engine's micro-batching relies on.
+invariant the serving engine's micro-batching relies on.  The row bound
+sizes the stacked input; a tree ensemble's working memory is bounded
+inside the model, which walks any batch in row chunks of at most
+``repro.ml.kernels._CHUNK_STATES`` (tree, row) states, so a larger batch
+adds only to the input and output matrices.
 """
 
 from __future__ import annotations
@@ -39,9 +43,13 @@ __all__ = [
     "ale_curves_for_features",
 ]
 
-#: Default row bound for one stacked ``predict_proba`` call.  Perturbed
-#: copies are float64 matrices of ``X.shape[1]`` columns, so at the
-#: paper's widest schema (12 features) a full batch stays ~6 MiB.
+#: Default row bound for one stacked ``predict_proba`` call.  It bounds
+#: the input side: the pending perturbed copies and their concatenation
+#: are two float64 matrices of ``X.shape[1]`` columns, ~12 MiB together at
+#: the paper's widest schema (12 features).  It does not bound what the
+#: model holds while predicting; tree ensembles bound that themselves by
+#: descending in row chunks of a fixed (tree, row) state budget
+#: (:mod:`repro.ml.kernels`).
 DEFAULT_MAX_BATCH_ROWS = 65536
 
 

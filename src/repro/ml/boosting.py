@@ -10,12 +10,14 @@ before any of them is fit, and they draw nothing, so they grow together,
 level by level, in one :meth:`DecisionTreeRegressor._fit_members` call;
 each tree is bitwise the tree a lone fit on those rows grows.
 
-``decision_function`` evaluates every stage tree through one
-:class:`repro.ml.kernels.TreeBank` traversal instead of ``rounds ×
-classes`` per-tree passes; the logit accumulation replays the historical
-stage/class loop order exactly, keeping predictions bitwise-identical
-(``_decision_function_per_member`` keeps the legacy loop as the
-equivalence-test oracle and benchmark baseline).
+``decision_function`` evaluates every stage tree through a
+:class:`repro.ml.kernels.TreeBank` instead of ``rounds × classes``
+per-tree passes: all stage trees descend together, one bounded row
+chunk at a time, so its memory is set by the bank's chunk budget, not by
+the batch.  Within each chunk the logit accumulation replays the
+historical stage/class loop order exactly, keeping predictions
+bitwise-identical (``_decision_function_per_member`` keeps the legacy
+loop as the equivalence-test oracle and benchmark baseline).
 """
 
 from __future__ import annotations
@@ -131,15 +133,17 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
     def decision_function(self, X) -> np.ndarray:
         X = self._validate_predict_input(X)
         bank = self._tree_bank()
-        leaves = bank.apply(X)  # (rounds * classes, n) stage-major
-        # Accumulate stage by stage, class by class — the identical float
-        # sequence the per-tree loop performs — so logits stay bitwise-equal.
         logits = np.tile(self.base_score_, (X.shape[0], 1))
-        index = 0
-        for stage in self.stages_:
-            for c in range(len(stage)):
-                logits[:, c] += self.learning_rate * bank.value[leaves[index], 0]
-                index += 1
+        for rows, leaves in bank.apply_chunks(X):  # leaves: (rounds * classes, chunk)
+            # Accumulate stage by stage, class by class — the identical float
+            # sequence the per-tree loop performs — so logits stay bitwise-equal.
+            block = logits[rows]
+            steps = self.learning_rate * bank.value[leaves, 0]
+            index = 0
+            for stage in self.stages_:
+                for c in range(len(stage)):
+                    block[:, c] += steps[index]
+                    index += 1
         return logits
 
     def _decision_function_per_member(self, X) -> np.ndarray:

@@ -14,11 +14,13 @@ as a :class:`DecisionTreeClassifier` on its bootstrap gives.
 
 Prediction runs through a :class:`repro.ml.kernels.TreeBank`: every member
 tree is concatenated into one struct-of-arrays bank and all trees descend
-for all rows in a single level-synchronous loop.  The probability
-accumulation replays the historical per-member loop's float-operation
-order exactly, so the kernel path is bitwise-identical to per-member
-prediction (``_predict_proba_per_member`` keeps the legacy loop as the
-equivalence-test oracle and benchmark baseline).
+together in a level-synchronous loop, one bounded row chunk at a time, so
+prediction memory is set by the bank's chunk budget, not by the batch.
+Within each chunk the probability accumulation replays the historical
+per-member loop's float-operation order exactly, so the kernel path is
+bitwise-identical to per-member prediction (``_predict_proba_per_member``
+keeps the legacy loop as the equivalence-test oracle and benchmark
+baseline).
 """
 
 from __future__ import annotations
@@ -166,14 +168,15 @@ class _BaseForest(BaseEstimator, ClassifierMixin):
     def predict_proba(self, X) -> np.ndarray:
         X = self._validate_predict_input(X)
         bank = self._tree_bank()
-        leaves = bank.apply(X)
-        # Accumulate in member order, one vectorized add per tree — the
-        # identical float-operation sequence the per-member loop performs
-        # (class-subset members contribute exact +0.0 in absent columns),
-        # so both paths produce bitwise-equal probabilities.
         proba = np.zeros((X.shape[0], self.n_classes_), dtype=np.float64)
-        for member_leaves in leaves:
-            proba += bank.value[member_leaves]
+        for rows, leaves in bank.apply_chunks(X):
+            # Accumulate in member order, one vectorized add per tree — the
+            # identical float-operation sequence the per-member loop performs
+            # (class-subset members contribute exact +0.0 in absent columns),
+            # so both paths produce bitwise-equal probabilities.
+            block = proba[rows]
+            for member_leaves in leaves:
+                block += bank.value[member_leaves]
         proba /= len(self.estimators_)
         return proba
 

@@ -6,10 +6,17 @@ Python still pays one full vectorized traversal — plus input validation
 and Python call overhead — *per member*.  :class:`TreeBank` removes that
 loop: it concatenates every member tree of a forest (or every stage tree
 of a boosting model) into one struct-of-arrays bank and descends **all
-trees for all rows simultaneously** in a single level-synchronous
-vectorized loop.  The loop runs for as many iterations as the deepest
-tree, instead of ``n_trees × depth`` iterations, and each iteration
-operates on one flat ``(n_trees · n_rows)`` state vector.
+trees together** in a level-synchronous vectorized loop.  The loop runs
+for as many iterations as the deepest tree, instead of ``n_trees ×
+depth`` iterations, and each iteration operates on one flat ``(n_trees ·
+chunk rows)`` state vector.
+
+What bounds memory is the chunk, not the batch:
+:meth:`TreeBank.apply_chunks` walks ``X`` in row chunks of at most
+``_CHUNK_STATES`` (tree, row) states each, so a descent holds a few
+state vectors of that length whatever the batch size or tree count.
+Consumers accumulate chunk by chunk; every row's float sequence is the
+one an unchunked pass performs, because no prediction mixes rows.
 
 Bank layout
 -----------
@@ -36,7 +43,7 @@ the golden-master and serve-identity tests pin).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +52,11 @@ from ..exceptions import ValidationError
 __all__ = ["TreeBank"]
 
 _LEAF = -1
+
+#: Most (tree, row) descent states one chunk of :meth:`TreeBank.apply_chunks`
+#: holds; the descent keeps about eight int64/float64 vectors of that
+#: length, so a chunk's working set stays near 4 MiB.
+_CHUNK_STATES = 1 << 16
 
 
 class TreeBank:
@@ -130,6 +142,25 @@ class TreeBank:
     def n_nodes(self) -> int:
         return int(self.feature.shape[0])
 
+    @property
+    def chunk_rows(self) -> int:
+        """Rows per chunk: as many as fit ``_CHUNK_STATES`` states, at least one."""
+        return max(1, _CHUNK_STATES // self.n_trees)
+
+    def apply_chunks(self, X: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """``(rows, leaves)`` for consecutive row chunks of ``X``.
+
+        ``rows`` is the slice of ``X`` the chunk covers and ``leaves`` its
+        :meth:`apply` matrix, ``(n_trees, chunk)``.  Chunks hold at most
+        :attr:`chunk_rows` rows, so a descent holds at most
+        ``_CHUNK_STATES`` states (``n_trees`` when a bank has more trees).
+        """
+        X = np.asarray(X, dtype=np.float64)
+        step = self.chunk_rows
+        for start in range(0, X.shape[0], step):
+            rows = slice(start, min(start + step, X.shape[0]))
+            yield rows, self.apply(X[rows])
+
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf reached by every row in every tree, as global node ids.
 
@@ -140,7 +171,9 @@ class TreeBank:
         times total rather than per tree.  The split comparison is the
         same ``x <= threshold`` the per-tree kernel uses, making the
         reached leaves — and therefore the gathered payload bits —
-        identical to per-tree application.
+        identical to per-tree application.  It holds all
+        ``n_trees × n_rows`` states at once; :meth:`apply_chunks` bounds
+        them.
         """
         X = np.asarray(X, dtype=np.float64)
         n, n_features = X.shape

@@ -221,10 +221,15 @@ class ArtifactCache:
             return False, None
         return True, value
 
+    @staticmethod
+    def encode(value: Any) -> bytes:
+        """The bytes every write path lands on disk for ``value``."""
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
     def store(self, key: str, value: Any) -> Path:
         """Atomically persist ``value`` under ``key``; returns the path."""
         path = self.path_for(key)
-        write_atomic(path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        write_atomic(path, self.encode(value))
         return path
 
     # -- publish/fetch (registry entry points) ----------------------------
@@ -238,7 +243,7 @@ class ArtifactCache:
         identical bytes is a no-op and a manifest holding the key can
         verify integrity on load.  Returns the key.
         """
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = self.encode(value)
         h = hashlib.sha256()
         _hash_update(h, b"publish", salt.encode(), blob)
         key = h.hexdigest()

@@ -11,17 +11,17 @@ duck-typed :class:`~repro.runtime.cache.ArtifactCache` peer layered over
 the local cache.  ``load`` is read-through — local miss → remote fetch →
 digest verify → atomic local install → unpickle from disk, so a remote
 hit is *byte-identical* to what a local execution would have written.
-``store`` is write-through — local install first, then a push in the
-caller's thread with deterministic bounded retries (no sleeps, no
-clocks: ``RETRIES + 1`` immediate attempts), so when ``store`` returns
-the origin holds the entry or the failure is counted.  A grid's pushes
-are a small share of its fits (``benchmarks/bench_store.py`` times the
-``remote_cold`` regime against ``local_cold``).  ``FAILURE_THRESHOLD``
-consecutive transport failures in either direction (fetch or push,
-counted apart) trip a circuit breaker into *degraded* local-only mode:
-the peer being down can slow a grid, by at most
-``FAILURE_THRESHOLD × (RETRIES + 1)`` timed-out calls per direction,
-never fail it.
+``store`` is write-through — encode once, install those bytes locally,
+then push the same bytes in the caller's thread with deterministic
+bounded retries (no sleeps, no clocks: ``RETRIES + 1`` immediate
+attempts), so when ``store`` returns the origin holds the entry or the
+failure is counted.  A grid's pushes are a small share of its fits
+(``benchmarks/bench_store.py`` times the ``remote_cold`` regime against
+``local_cold``).  ``FAILURE_THRESHOLD`` consecutive transport failures
+in either direction (fetch or push, counted apart) trip a circuit
+breaker into *degraded* local-only mode: the peer being down can slow a
+grid, by at most ``FAILURE_THRESHOLD × (RETRIES + 1)`` timed-out calls
+per direction, never fail it.
 """
 
 from __future__ import annotations
@@ -216,11 +216,10 @@ class RemoteCacheTier:
         return True, value
 
     def store(self, key: str, value: Any):
-        """Local install first, then push the installed bytes to the peer."""
-        path = self.local.store(key, value)
-        blob = self.local.read_blob(key)
-        if blob is not None:
-            self._push_now(key, blob)
+        """Encode once, install the bytes locally, then push those same bytes."""
+        blob = self.local.encode(value)
+        path = self.local.install_blob(key, blob)
+        self._push_now(key, blob)
         return path
 
     def __getattr__(self, name: str):

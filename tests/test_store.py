@@ -367,6 +367,32 @@ class TestRemoteCacheTier:
         finally:
             server.close()
 
+    def test_write_through_pushes_the_installed_bytes_without_reading_back(
+        self, tmp_path, monkeypatch
+    ):
+        pushed: dict[str, bytes] = {}
+
+        def record(key, blob):
+            pushed[key] = blob
+            return {"installed": True}
+
+        local = ArtifactCache(tmp_path)
+        tier = RemoteCacheTier(local, "http://unused", client=_ScriptedClient(push=record))
+        reads = []
+        original_read_blob = ArtifactCache.read_blob
+        monkeypatch.setattr(
+            ArtifactCache,
+            "read_blob",
+            lambda self, key: reads.append(key) or original_read_blob(self, key),
+        )
+        key = _key("once")
+        tier.store(key, {"weights": np.arange(5.0), "n": 3})
+        assert reads == []
+        on_disk = local.path_for(key).read_bytes()
+        assert pushed == {key: on_disk}
+        hit, value = local.load(key)
+        assert hit and value["n"] == 3 and np.array_equal(value["weights"], np.arange(5.0))
+
     def test_dead_peer_degrades_to_local_only(self, tmp_path):
         # Bind-then-close: a port with nothing listening.
         probe = ThreadingHTTPServer(("127.0.0.1", 0), BaseHTTPRequestHandler)
